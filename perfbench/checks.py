@@ -12,6 +12,9 @@ import numpy as np
 
 from server import answer_for
 
+# redraws of a one-class resample before giving up, as metrics.bootstrap does
+MAX_REDRAWS = 100
+
 
 class CheckFailed(Exception):
     pass
@@ -53,13 +56,13 @@ def _ref_auprc(scores, labels):
     return float(np.sum(precision * positives / n_pos))
 
 
-def _ref_bootstrap_mean(metric, scores, labels, n, seed, max_redraws=100):
+def _ref_bootstrap_mean(metric, scores, labels, n, seed):
     """Mean over resamples drawn as default_rng([seed, i]).integers(0, m, m)."""
     m = len(scores)
     values = []
     for i in range(n):
         rng = np.random.default_rng([seed, i])
-        for _ in range(max_redraws + 1):
+        for _ in range(MAX_REDRAWS + 1):
             idx = rng.integers(0, m, size=m)
             value = metric(scores[idx], labels[idx])
             if value is not None:

@@ -22,6 +22,7 @@ _WORDS = (
 ).split()
 
 CHAPTERS = "ABCDEGIJKN"
+DIM = 32  # width of the sentence embeddings
 GOLD_GRID = tuple(float(g) for g in np.arange(0.0, 4.01, 0.5))
 
 
@@ -78,7 +79,7 @@ def write_order_file(path, n_broad, seed):
     return path
 
 
-def write_sentences(directory, n_pairs, seed, dim=32):
+def write_sentences(directory, n_pairs, seed):
     """Pairs TSV with gold scores on a 0.5 grid, plus an embeddings JSONL.
 
     The second vector of a pair leans towards the first in proportion to the
@@ -94,9 +95,9 @@ def write_sentences(directory, n_pairs, seed, dim=32):
             gold = GOLD_GRID[int(rng.integers(0, len(GOLD_GRID)))]
             s1 = f"s{i}a {_phrase(rng, 4, 12)}"
             s2 = f"s{i}b {_phrase(rng, 4, 12)}"
-            a = rng.normal(size=dim)
+            a = rng.normal(size=DIM)
             w = gold / 4.0
-            b = w * a + (1.0 - w) * rng.normal(size=dim) + 0.3 * rng.normal(size=dim)
+            b = w * a + (1.0 - w) * rng.normal(size=DIM) + 0.3 * rng.normal(size=DIM)
             pairs_fh.write(f"{s1}\t{s2}\t{gold}\n")
             for text, vec in ((s1, a), (s2, b)):
                 emb_fh.write(json.dumps({"text": text,

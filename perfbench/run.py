@@ -1,14 +1,15 @@
 """Benchmark of whole ehrbench commands, end to end and by layer.
 
-    python3 perfbench/run.py --workload predict-best --seed 1 --seconds 30 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload predict-best --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 25 --trace 0
 
 Run from anywhere; the program is imported from ``src/`` next to this
-directory. Each workload generates its inputs from ``--seed``, times
-``import ehrbench`` plus input loading several times (``setup_s``), runs
-one warm-up command, then runs the command in a fresh process, over and
-over, for ``--seconds``. Every run's outputs are checked, and after the
-loop they are compared with independent oracles (``checks.py``).
+directory. Each workload generates its inputs from ``--seed``, runs one
+warm-up command, then, for ``--seconds``, runs the command in a fresh
+process over and over, each time followed by a fresh process that times
+``import ehrbench`` plus the command's input loading (``setup_s``). Every
+run's outputs are checked, and after the loop they are compared with
+independent oracles (``checks.py``).
 
 With ``--trace 0`` it reports the end-to-end metrics. With ``--trace 1``
 it alternates untraced and traced runs and reports the per-layer metrics:
@@ -44,35 +45,41 @@ SRC = ROOT / "src"
 OUT = ROOT / ".perfbench"
 
 MIN_RUNS = 3          # untraced (and traced) command runs, whatever --seconds
-SETUP_REPEATS = 7     # fresh processes timed for setup_s
 COMMAND_TIMEOUT_S = 150
+# A fixed mmap threshold turns off glibc's dynamic one, which made the peak
+# RSS of icd-sweep land on one of two values depending on the heap layout.
+# At 4 MiB every n*k*d distance tensor is mapped fresh and returned on free.
+MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": str(4 << 20)}
 
-# Why each workload exists. The sizes keep one command near two seconds on
-# two cores, so a 30 s run holds 12 to 20 command runs.
+# BENCHMARK.json says why each workload exists. The sizes keep one command
+# near two seconds on two cores, so a run holds about ten command runs.
+# Both predict workloads send every prompt to the loopback fake server
+# (2 clients in a closed loop). The network wait is also ballast: pure-Python
+# speed on a shared machine drifts by tens of percent over minutes, and with
+# the noise stub in its place the 10-run spread of wall_s reached 0.23-0.31.
+BEST_PROMPT = {"include_units": True, "include_ranges": True,
+               "n_icl_examples": 2}
+BASE_PROMPT = {"include_units": False, "include_ranges": False,
+               "n_icl_examples": 0}
 WORKLOADS = {
-    # predict sends every prompt to the loopback fake server (2 ms per
-    # request, 2 clients in a closed loop). The network wait is also
-    # ballast: pure-Python speed on a shared machine drifts by tens of
-    # percent over minutes, and with the noise stub in its place the
-    # 10-run spread of wall_s reached 0.23 to 0.31.
     "predict-best": {
-        "why": "paper's best prompt (units, ranges, 2 ICL examples), 1000 "
-               "resamples, loopback fake server: bootstrap, rendering, ICL "
-               "synthesis and the gateway path",
-        "full": {"patients": 1000, "resamples": 1000, "delay_ms": 2.0},
-        "tiny": {"patients": 60, "resamples": 20, "delay_ms": 1.0},
+        "full": {"patients": 1000, "resamples": 1000, "delay_ms": 2.0,
+                 "prompt": BEST_PROMPT},
+        "tiny": {"patients": 60, "resamples": 20, "delay_ms": 1.0,
+                 "prompt": BEST_PROMPT},
+    },
+    "predict-http": {
+        "full": {"patients": 1700, "resamples": 10, "delay_ms": 2.0,
+                 "prompt": BASE_PROMPT},
+        "tiny": {"patients": 60, "resamples": 10, "delay_ms": 1.0,
+                 "prompt": BASE_PROMPT},
     },
     "icd-sweep": {
-        "why": "eval-icd with hash-embed-256 and K=10..50 in steps of 5: "
-               "k-means, tree distance and the n*k*d tensor that sets peak "
-               "memory",
         # k-means iterations vary with the seed; nine Ks average them out
         "full": {"codes": 600, "ks": "10,15,20,25,30,35,40,45,50"},
         "tiny": {"codes": 40, "ks": "2,3"},
     },
     "sentences-grid": {
-        "why": "eval-sentences on gold scores with ties: the only caller of "
-               "the Pearson, Spearman and Kendall path",
         "full": {"pairs": 700},
         "tiny": {"pairs": 30},
     },
@@ -103,7 +110,7 @@ PER_LAYER = {
     "icd.kmeans_dist_bytes": "bytes", "icd.distance_s": "s",
     "icd.distance_pairs": "count",
     "cli.self_s": "s", "proc.startup_s": "s",
-    "trace.wall_s": "s", "trace.self_sum_s": "s", "trace.overhead_s": "s",
+    "trace.wall_s": "s", "trace.overhead_s": "s",
 }
 
 
@@ -135,8 +142,7 @@ class Predict:
                      "task": "mortality"},
             "split": {"train_frac": 0.6, "val_frac": 0.1, "test_frac": 0.3,
                       "seed": seed},
-            "prompt": {"include_units": True, "include_ranges": True,
-                       "n_icl_examples": 2},
+            "prompt": size["prompt"],
             "endpoint": endpoint,
             "bootstrap": self.boot,
             "output_dir": self.out_dir,
@@ -274,7 +280,7 @@ class FakeServer:
 # -- measurement -------------------------------------------------------------
 
 def child_env():
-    env = dict(os.environ)
+    env = dict(os.environ, **MALLOC_ENV)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return env
@@ -370,7 +376,6 @@ def layer_metrics(traced, untraced):
         if abs(sum(layers.values()) - main_s) > 1e-6:
             raise RuntimeError("self times do not partition the command")
         row["proc.startup_s"] = run["wall_s"] - main_s
-        row["trace.self_sum_s"] = sum(layers.values()) + row["proc.startup_s"]
         calls = row["prompts.icl_synth_calls"]
         row["prompts.icl_useful_ratio"] = len(blocks) / calls if calls else 0.0
         decodes = row.pop("gateway.decodes", 0)
@@ -406,8 +411,7 @@ def layer_metrics(traced, untraced):
 
 def run_workload(name, seed, seconds, trace, size_name):
     """Measure one workload; returns (result dict, run record)."""
-    spec = WORKLOADS[name]
-    size = spec[size_name]
+    size = WORKLOADS[name][size_name]
     # a fixed path: the heap layout, and so peak RSS, can depend on it
     workdir = OUT / "work" / name
     shutil.rmtree(workdir, ignore_errors=True)
@@ -418,16 +422,14 @@ def run_workload(name, seed, seconds, trace, size_name):
                  else contextlib.nullcontext())
     try:
         with server_cm as server:
-            if name == "predict-best":
+            if name.startswith("predict-"):
                 workload = Predict(str(workdir), seed, size, server.url)
             elif name == "icd-sweep":
                 workload = Icd(str(workdir), seed, size)
             else:
                 workload = Sentences(str(workdir), seed, size)
             kind, files = workload.setup
-            setup_times = [
-                run_child(str(workdir), ["--setup", kind, "--", *files])
-                ["setup_s"] for _ in range(SETUP_REPEATS)]
+            setup_times = []
             run_command(workload, str(workdir), False, server, failures)
             deadline = time.perf_counter() + seconds
             while not failures and (
@@ -438,6 +440,11 @@ def run_workload(name, seed, seconds, trace, size_name):
                 result = run_command(workload, str(workdir), run_traced,
                                      server, failures)
                 (traced if run_traced else untraced).append(result)
+                if not trace:
+                    # set-up shares the window, and so the machine's drift
+                    setup_times.append(run_child(
+                        str(workdir), ["--setup", kind, "--", *files])
+                        ["setup_s"])
         if not failures:
             try:
                 workload.final_check()
@@ -462,7 +469,7 @@ def run_workload(name, seed, seconds, trace, size_name):
                     for k in units if k in metrics},
     }
     record = {
-        "workload": name, "why": spec["why"], "seed": seed,
+        "workload": name, "seed": seed,
         "seconds": seconds, "trace": trace, "size": size,
         "environment": environment(),
         "failures": failures,
@@ -533,7 +540,7 @@ def main(argv=None):
     parser.add_argument("--workload", required=True,
                         choices=[*WORKLOADS, "all"])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--size", choices=("full", "tiny"), default="full",
                         help="tiny inputs, for the self-test")

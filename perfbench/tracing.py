@@ -28,6 +28,8 @@ import time
 
 import numpy as np
 
+import ehrbench
+
 
 def _bound(fn, args, kwargs):
     bound = inspect.signature(fn).bind(*args, **kwargs)
@@ -161,15 +163,14 @@ def _wrap(recorder, name, fn, counter):
     return wrapper
 
 
-def install(recorder, package="ehrbench"):
+def install(recorder):
     """Wrap every function in WRAPPED; returns a callable that undoes it."""
-    pkg = importlib.import_module(package)
-    modules = [importlib.import_module(f"{package}.{info.name}")
-               for info in pkgutil.iter_modules(pkg.__path__)]
+    modules = [importlib.import_module(f"ehrbench.{info.name}")
+               for info in pkgutil.iter_modules(ehrbench.__path__)]
     wrappers = {}
     for qualname, (_, counter) in WRAPPED.items():
         mod_name, attr = qualname.split(".")
-        fn = getattr(importlib.import_module(f"{package}.{mod_name}"), attr)
+        fn = getattr(importlib.import_module(f"ehrbench.{mod_name}"), attr)
         wrappers[id(fn)] = (fn, _wrap(recorder, qualname, fn, counter))
     undo = []
     for module in modules:
