@@ -1,7 +1,7 @@
 """Benchmark of whole ehrbench commands, end to end and by layer.
 
-    python3 perfbench/run.py --workload predict-best --seed 1 --seconds 25 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload predict-best --seed 1 --seconds 55 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 55 --trace 0
 
 Run from anywhere; the program is imported from ``src/`` next to this
 directory. Each workload generates its inputs from ``--seed``, runs one
@@ -46,17 +46,24 @@ OUT = ROOT / ".perfbench"
 
 MIN_RUNS = 3          # untraced (and traced) command runs, whatever --seconds
 COMMAND_TIMEOUT_S = 150
-# A fixed mmap threshold turns off glibc's dynamic one, which made the peak
-# RSS of icd-sweep land on one of two values depending on the heap layout.
-# At 4 MiB every n*k*d distance tensor is mapped fresh and returned on free.
-MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": str(4 << 20)}
+# glibc serves every allocation from the heap and never trims it. With its
+# defaults, the n*k*d distance tensors of icd-sweep were mapped and faulted in
+# afresh on each k-means iteration, and that kernel time was the noisiest part
+# of the command; the dynamic mmap threshold also made peak RSS take one of two
+# values depending on the heap layout.
+MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": str(1 << 30),
+              "MALLOC_TRIM_THRESHOLD_": str(1 << 30)}
 
-# BENCHMARK.json says why each workload exists. The sizes keep one command
-# near two seconds on two cores, so a run holds about ten command runs.
-# Both predict workloads send every prompt to the loopback fake server
-# (2 clients in a closed loop). The network wait is also ballast: pure-Python
-# speed on a shared machine drifts by tens of percent over minutes, and with
-# the noise stub in its place the 10-run spread of wall_s reached 0.23-0.31.
+# BENCHMARK.json says why each workload exists; it declares only predict-best
+# and icd-sweep. On a shared host the speed of pure-Python code drifts by tens
+# of percent over tens of seconds, and only longer runs average that out, so
+# the run budget goes to two workloads at 55 s. predict-http and
+# sentences-grid run by hand or with --workload all; at 25 s the 10-seed
+# spread of sentences-grid's wall time reached 0.31. The sizes keep one
+# command between two and three seconds on two cores. The predict workloads send every
+# prompt to the loopback fake server (2 clients in a closed loop); with the
+# noise stub in its place, predict was all pure Python and its 10-seed
+# spread of wall_s reached 0.23-0.31.
 BEST_PROMPT = {"include_units": True, "include_ranges": True,
                "n_icl_examples": 2}
 BASE_PROMPT = {"include_units": False, "include_ranges": False,
@@ -75,8 +82,8 @@ WORKLOADS = {
                  "prompt": BASE_PROMPT},
     },
     "icd-sweep": {
-        # k-means iterations vary with the seed; nine Ks average them out
-        "full": {"codes": 600, "ks": "10,15,20,25,30,35,40,45,50"},
+        # k-means iterations vary with the seed; 41 Ks average them out
+        "full": {"codes": 350, "ks": ",".join(map(str, range(10, 51)))},
         "tiny": {"codes": 40, "ks": "2,3"},
     },
     "sentences-grid": {
@@ -540,7 +547,7 @@ def main(argv=None):
     parser.add_argument("--workload", required=True,
                         choices=[*WORKLOADS, "all"])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=55.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--size", choices=("full", "tiny"), default="full",
                         help="tiny inputs, for the self-test")

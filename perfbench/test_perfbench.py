@@ -45,7 +45,7 @@ def test_every_workload_meets_the_output_contract(trace):
     spec = _spec()
     declared = spec["end_to_end"] if trace == "0" else spec["per_layer"]
     want = {m["name"]: m["unit"] for m in declared}
-    assert [w["name"] for w in spec["workloads"]] == list(run.WORKLOADS)
+    assert {w["name"] for w in spec["workloads"]} <= set(run.WORKLOADS)
     for workload in run.WORKLOADS:
         proc = _run_bench("--workload", workload, "--seed", "5", "--seconds",
                           "0.2", "--trace", trace, "--size", "tiny")
