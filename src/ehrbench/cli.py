@@ -2,14 +2,18 @@
 eval-icd, report-merge.
 
 A run is described by one JSON config with sections {label, data, split,
-prompt, endpoint, bootstrap, decode, output_dir}. The config is fingerprinted
-(sha256 of its key-sorted JSON) and echoed into every report so results stay
-attributable. Report writes are atomic (temp file + rename).
+prompt, endpoint, bootstrap, decode, output_dir}; an unknown, missing or
+mistyped key stops the run before any data is read. The config is
+fingerprinted (sha256 of its key-sorted JSON) and echoed into every report so
+results stay attributable. Report writes are atomic (temp file + rename).
 """
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
+import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -17,6 +21,9 @@ import os
 import sys
 import tempfile
 import time
+import typing
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from . import ehr, gateway, icd, metrics, prompts
 from .errors import (
@@ -34,50 +41,154 @@ def config_fingerprint(config_dict):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _dataclass_kwargs(section, allowed):
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise InvariantViolation(f"unknown config keys {sorted(unknown)}")
-    return dict(section)
+@dataclass(frozen=True)
+class RunConfig:
+    """Top level of a run config; each dict is one section below."""
+
+    data: dict
+    split: dict
+    prompt: dict
+    endpoint: dict
+    output_dir: str
+    label: str = ""
+    bootstrap: dict = field(default_factory=dict)
+    decode: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class DataSpec:
+    cohort: str
+    catalog: str
+    task: str
+    labels: str | None = None
+
+    def __post_init__(self):
+        if self.task not in ehr.TASKS:
+            raise InvariantViolation(f"task {self.task!r} not in {ehr.TASKS}")
+        for p in (self.cohort, self.catalog, self.labels):
+            if p is not None and not os.path.exists(p):
+                raise InvariantViolation(
+                    f"referenced path does not exist: {p}")
+
+
+@dataclass(frozen=True)
+class BootstrapSpec:
+    n: int = 10
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class DecodeSpec:
+    count_unknown_as_missing: bool = False
+
+
+def _type_ok(value, hint):
+    """Does a JSON value fit a field annotation? An int fits a float field;
+    a bool fits only a bool field."""
+    allowed = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in allowed
+    if isinstance(value, int) and float in allowed:
+        return True
+    return isinstance(value, allowed)
+
+
+def _section(name, cls, values, **derived):
+    """Build ``cls`` from one config section; every key must be a field.
+
+    ``derived`` fields are set by the run itself and are not config keys.
+    """
+    where = f"{name}." if name else ""
+    if not isinstance(values, dict):
+        raise InvariantViolation(
+            f"config {name or 'file'} must be a JSON object, "
+            f"got {type(values).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)
+              if f.name not in derived}
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        if key not in fields:
+            raise InvariantViolation(
+                f"unknown config key {where}{key} (allowed: "
+                f"{', '.join(fields)})")
+        if not _type_ok(value, hints[key]):
+            expected = getattr(hints[key], "__name__", hints[key])
+            raise InvariantViolation(
+                f"config key {where}{key} must be {expected}, got {value!r}")
+    for key, f in fields.items():
+        if key not in values and f.default is dataclasses.MISSING \
+                and f.default_factory is dataclasses.MISSING:
+            raise InvariantViolation(f"config key {where}{key} is required")
+    try:
+        return cls(**values, **derived)
+    except (TypeError, ValueError, InvariantViolation) as exc:
+        raise InvariantViolation(f"config {name}: {exc}") from None
+
+
+def _load_config(path):
+    """Read and validate a run config -> (dict as written, section objects)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"config {path} is not valid JSON: {exc}") \
+                from None
+    top = _section("", RunConfig, raw)
+    data = _section("data", DataSpec, top.data)
+    sections = SimpleNamespace(
+        data=data,
+        split=_section("split", ehr.SplitSpec, top.split),
+        prompt=_section("prompt", prompts.PromptConfig, top.prompt,
+                        task=data.task),
+        endpoint=_section("endpoint", gateway.EndpointConfig, top.endpoint),
+        bootstrap=_section("bootstrap", BootstrapSpec, top.bootstrap),
+        decode=_section("decode", DecodeSpec, top.decode),
+    )
+    return raw, sections
 
 
 def load_run_config(path):
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    required = {"data", "split", "prompt", "endpoint", "output_dir"}
-    missing = required - raw.keys()
-    if missing:
-        raise InvariantViolation(f"config missing sections {sorted(missing)}")
-    for p in (raw["data"].get("cohort"), raw["data"].get("catalog"),
-              raw["data"].get("labels")):
-        if p is not None and not os.path.exists(p):
-            raise InvariantViolation(f"referenced path does not exist: {p}")
-    if "seed" not in raw["split"]:
-        raise InvariantViolation("split.seed is required")
-    return raw
+    """Validate a run config without loading its data; returns the dict."""
+    return _load_config(path)[0]
 
 
-def _build_config_objects(raw):
-    prompt_cfg = prompts.PromptConfig(
-        **_dataclass_kwargs(raw["prompt"], prompts.PromptConfig.__dataclass_fields__)
-    )
-    endpoint_cfg = gateway.EndpointConfig(
-        **_dataclass_kwargs(raw["endpoint"],
-                            gateway.EndpointConfig.__dataclass_fields__)
-    )
-    split_spec = ehr.SplitSpec(
-        **_dataclass_kwargs(raw["split"], ehr.SplitSpec.__dataclass_fields__)
-    )
-    return prompt_cfg, endpoint_cfg, split_spec
+class RunPlan:
+    """A validated config, its cohort, and how every prompt is rendered.
 
+    ``predict`` and ``prompt-preview`` both render through ``render``, so a
+    preview is the prompt that is sent. The cohort is split on first use;
+    in-context examples come from the train split and are synthesized once
+    per record time kind.
+    """
 
-def _load_data(raw):
-    data = raw["data"]
-    catalog = ehr.load_catalog(data["catalog"])
-    cohort = ehr.load_cohort(
-        data["cohort"], catalog, data["task"], labels_path=data.get("labels")
-    )
-    return cohort
+    def __init__(self, config_path):
+        self.raw, self.config = _load_config(config_path)
+        data = self.config.data
+        self.catalog = ehr.load_catalog(data.catalog)
+        self.cohort = ehr.load_cohort(data.cohort, self.catalog, data.task,
+                                      labels_path=data.labels)
+        self._icl_examples = {}
+
+    @functools.cached_property
+    def splits(self):
+        return ehr.split_cohort(self.cohort, self.config.split)
+
+    def _examples(self, time_kind):
+        if time_kind not in self._icl_examples:
+            cfg = self.config.prompt
+            spec = prompts.icl_spec_from_cohort(
+                self.splits.train, seed=self.config.split.seed,
+                time_kind=time_kind)
+            self._icl_examples[time_kind] = prompts.synthesize_icl_examples(
+                spec, cfg.n_icl_examples, cfg, self.catalog)
+        return self._icl_examples[time_kind]
+
+    def render(self, record):
+        cfg = self.config.prompt
+        examples = (self._examples(record.time_kind)
+                    if cfg.n_icl_examples > 0 else None)
+        return prompts.build_prompt(record, self.catalog, cfg,
+                                    icl_examples=examples)
 
 
 def _atomic_write(path, content):
@@ -115,32 +226,8 @@ def _fmt(x):
     return x
 
 
-def cmd_predict(args):
-    raw = load_run_config(args.config)
-    fingerprint = config_fingerprint(raw)
-    prompt_cfg, endpoint_cfg, split_spec = _build_config_objects(raw)
-    cohort = _load_data(raw)
-    splits = ehr.split_cohort(cohort, split_spec)
-    t0 = time.monotonic()
-
-    icl_spec = None
-    if prompt_cfg.n_icl_examples > 0:
-        time_kind = (
-            splits.test.records[0].time_kind if splits.test.records
-            else ehr.TIME_ORDINAL
-        )
-        icl_spec = prompts.icl_spec_from_cohort(
-            splits.train, seed=split_spec.seed, time_kind=time_kind
-        )
-
-    rendered = {
-        rec.patient_id: prompts.build_prompt(
-            rec, cohort.catalog, prompt_cfg, icl_spec=icl_spec
-        )
-        for rec in splits.test.records
-    }
-    raw_results = gateway.complete_batch(rendered, endpoint_cfg)
-
+def _decode(raw_results):
+    """Endpoint results -> ({sample_id: PredictionOutcome}, error count)."""
     outcomes = {}
     n_errors = 0
     for sid, result in raw_results.items():
@@ -151,13 +238,12 @@ def cmd_predict(args):
             )
         else:
             outcomes[sid] = gateway.decode_probability(result, sample_id=sid)
+    return outcomes, n_errors
 
-    count_unknown = raw.get("decode", {}).get("count_unknown_as_missing", False)
-    rate = gateway.missing_rate(
-        list(outcomes.values()), count_unknown_as_missing=count_unknown
-    )
 
-    labels = {rec.patient_id: rec.label for rec in splits.test.records}
+def _score(outcomes, records, boot):
+    """Bootstrapped AUROC/AUPRC; a missing answer scores 0.5."""
+    labels = {rec.patient_id: rec.label for rec in records}
     samples = [
         metrics.ScoredSample(
             sample_id=sid,
@@ -166,65 +252,84 @@ def cmd_predict(args):
         )
         for sid, o in sorted(outcomes.items())
     ]
-    boot = raw.get("bootstrap", {"n": 10, "seed": 0})
-    metric_results = {}
+    results = {}
     for name, fn in (("auroc", metrics.auroc), ("auprc", metrics.auprc)):
         try:
-            result = metrics.bootstrap(
-                fn, samples, n=boot.get("n", 10), seed=boot.get("seed", 0)
-            )
-            metric_results[name] = {"mean": result.mean, "std": result.std,
-                                    "n_resamples": result.n_resamples,
-                                    "seed": result.seed}
+            result = metrics.bootstrap(fn, samples, n=boot.n, seed=boot.seed)
+            results[name] = {"mean": result.mean, "std": result.std,
+                             "n_resamples": result.n_resamples,
+                             "seed": result.seed}
         except (metrics.SingleClass, metrics.NoPositives) as exc:
-            metric_results[name] = {"error": str(exc)}
+            results[name] = {"error": str(exc)}
+    return results
 
-    out_dir = raw["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    transcript_lines = []
+
+def _transcript(outcomes, rendered):
+    lines = []
     for sid in sorted(outcomes):
         o = outcomes[sid]
-        transcript_lines.append(json.dumps({
+        lines.append(json.dumps({
             "sample_id": sid,
             "prompt_sha256": hashlib.sha256(
                 rendered[sid].text.encode("utf-8")).hexdigest(),
             "raw_text": o.raw_text,
             "status": o.status,
             "probability": o.probability,
-        }, sort_keys=True))
-    _atomic_write(os.path.join(out_dir, "transcript.jsonl"),
-                  "".join(line + "\n" for line in transcript_lines))
+        }, sort_keys=True) + "\n")
+    return "".join(lines)
 
-    status_counts = {}
-    for o in outcomes.values():
-        status_counts[o.status] = status_counts.get(o.status, 0) + 1
-    elapsed = time.monotonic() - t0
+
+REPORT_COLUMNS = ["label", "fingerprint", "n_test", "n_decoded",
+                  "missing_rate_percent", "auroc_mean", "auroc_std",
+                  "auprc_mean", "auprc_std"]
+
+
+def _report_row(report):
+    """One ``REPORT_COLUMNS`` row of a predict report."""
+    rate = report.get("missing_rate", {})
+    scores = report.get("metrics", {})
+    return [report.get("label", ""), report.get("fingerprint", ""),
+            rate.get("n_test", ""), rate.get("n_decoded", ""),
+            rate.get("percent", ""),
+            *(_fmt(scores.get(name, {}).get(stat))
+              for name in ("auroc", "auprc") for stat in ("mean", "std"))]
+
+
+def cmd_predict(args):
+    plan = RunPlan(args.config)
+    test = plan.splits.test.records
+    t0 = time.monotonic()
+    rendered = {rec.patient_id: plan.render(rec) for rec in test}
+    raw_results = gateway.complete_batch(rendered, plan.config.endpoint)
+    outcomes, n_errors = _decode(raw_results)
+    rate = gateway.missing_rate(
+        list(outcomes.values()),
+        count_unknown_as_missing=plan.config.decode.count_unknown_as_missing,
+    )
+    metric_results = _score(outcomes, test, plan.config.bootstrap)
+
+    out_dir = plan.raw["output_dir"]
+    os.makedirs(out_dir, exist_ok=True)
+    _atomic_write(os.path.join(out_dir, "transcript.jsonl"),
+                  _transcript(outcomes, rendered))
     report = {
-        "label": raw.get("label", ""),
-        "fingerprint": fingerprint,
-        "config": raw,
+        "label": plan.raw.get("label", ""),
+        "fingerprint": config_fingerprint(plan.raw),
+        "config": plan.raw,
         "missing_rate": {
             "n_test": rate.n_test,
             "n_decoded": rate.n_decoded,
             "percent": rate.missing_rate_percent,
         },
-        "status_counts": status_counts,
+        "status_counts": dict(
+            collections.Counter(o.status for o in outcomes.values())),
         "metrics": metric_results,
         "n_errors": n_errors,
-        "timing": {"seconds": elapsed},
+        "timing": {"seconds": time.monotonic() - t0},
     }
     _write_json(os.path.join(out_dir, "report.json"), report)
-    _write_csv(
-        os.path.join(out_dir, "report.csv"),
-        ["label", "fingerprint", "n_test", "n_decoded", "missing_rate_percent",
-         "auroc_mean", "auroc_std", "auprc_mean", "auprc_std"],
-        [[report["label"], fingerprint, rate.n_test, rate.n_decoded,
-          rate.missing_rate_percent,
-          _fmt(metric_results["auroc"].get("mean")),
-          _fmt(metric_results["auroc"].get("std")),
-          _fmt(metric_results["auprc"].get("mean")),
-          _fmt(metric_results["auprc"].get("std"))]],
-    )
+    _write_csv(os.path.join(out_dir, "report.csv"), REPORT_COLUMNS,
+               [_report_row(report)])
     error_frac = n_errors / len(outcomes) if outcomes else 0.0
     if error_frac > args.max_error_frac:
         print(f"error fraction {error_frac:.3f} exceeds "
@@ -236,21 +341,11 @@ def cmd_predict(args):
 
 
 def cmd_prompt_preview(args):
-    raw = load_run_config(args.config)
-    prompt_cfg, _, split_spec = _build_config_objects(raw)
-    cohort = _load_data(raw)
-    record = cohort.get(args.sample_id)
+    plan = RunPlan(args.config)
+    record = plan.cohort.get(args.sample_id)
     if record is None:
         raise UnknownSample(args.sample_id)
-    icl_spec = None
-    if prompt_cfg.n_icl_examples > 0:
-        icl_spec = prompts.icl_spec_from_cohort(
-            cohort, seed=split_spec.seed, time_kind=record.time_kind
-        )
-    rendered = prompts.build_prompt(
-        record, cohort.catalog, prompt_cfg, icl_spec=icl_spec
-    )
-    print(rendered.text)
+    print(plan.render(record).text)
     return 0
 
 
@@ -273,19 +368,14 @@ def _load_sentence_pairs(path):
     return pairs
 
 
-def _load_embedding_file(path):
-    """JSONL of {"text": ..., "embedding": [...]} -> dict."""
+def _load_embedding_file(path, key="text"):
+    """JSONL of {key: ..., "embedding": [...]} -> dict."""
     table = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-            table[obj["text"]] = obj["embedding"]
+    for lineno, obj in ehr.read_jsonl(path):
+        if not isinstance(obj.get(key), str) or "embedding" not in obj:
+            raise ParseError(
+                f'expected a string "{key}" and an "embedding"', line=lineno)
+        table[obj[key]] = obj["embedding"]
     return table
 
 
@@ -328,28 +418,12 @@ def cmd_eval_sentences(args):
     return 0
 
 
-def _load_code_embeddings(path):
-    """JSONL of {"code": ..., "embedding": [...]} -> dict."""
-    table = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-            table[obj["code"]] = obj["embedding"]
-    return table
-
-
 def cmd_eval_icd(args):
     entries = icd.filter_broad_codes(icd.parse_order_file(args.order_file))
     tree = icd.build_tree(entries)
     codes = [e.code for e in entries]
     if args.embeddings_file:
-        table = _load_code_embeddings(args.embeddings_file)
+        table = _load_embedding_file(args.embeddings_file, key="code")
         missing = [c for c in codes if c not in table]
         if missing:
             raise UnknownCode(
@@ -386,23 +460,8 @@ def cmd_report_merge(args):
             merged.append(json.load(fh))
     os.makedirs(args.output_dir, exist_ok=True)
     _write_json(os.path.join(args.output_dir, "merged.json"), merged)
-    rows = []
-    for report in merged:
-        mr = report.get("missing_rate", {})
-        ms = report.get("metrics", {})
-        rows.append([
-            report.get("label", ""), report.get("fingerprint", ""),
-            mr.get("n_test", ""), mr.get("n_decoded", ""),
-            mr.get("percent", ""),
-            _fmt(ms.get("auroc", {}).get("mean")),
-            _fmt(ms.get("auroc", {}).get("std")),
-            _fmt(ms.get("auprc", {}).get("mean")),
-            _fmt(ms.get("auprc", {}).get("std")),
-        ])
-    _write_csv(os.path.join(args.output_dir, "merged.csv"),
-               ["label", "fingerprint", "n_test", "n_decoded",
-                "missing_rate_percent", "auroc_mean", "auroc_std",
-                "auprc_mean", "auprc_std"], rows)
+    _write_csv(os.path.join(args.output_dir, "merged.csv"), REPORT_COLUMNS,
+               [_report_row(report) for report in merged])
     print(f"wrote {args.output_dir}/merged.csv ({len(merged)} reports)")
     return 0
 

@@ -1,4 +1,4 @@
-"""Longitudinal structured-EHR records: loading, imputation, aggregation, splits.
+"""Longitudinal structured-EHR records: loading, imputation, splits.
 
 Records are immutable after construction; every transformation returns a new
 record. Visit timestamps come in three flavors:
@@ -6,23 +6,19 @@ record. Visit timestamps come in three flavors:
   * ``ordinal``  -- integer visit indices (0, 1, 2, ...)
   * ``hours``    -- real-valued hours since admission
   * ``date``     -- ISO calendar dates, rendered verbatim in prompts
-
-Window aggregation needs real times and refuses ordinal cohorts.
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import date
 
 import numpy as np
 
 from .errors import (
     DegenerateClass,
-    InsufficientClass,
     InvariantViolation,
-    OrdinalTimestamps,
     ParseError,
     SchemaMismatch,
 )
@@ -170,7 +166,6 @@ class SplitSpec:
     val_frac: float
     test_frac: float
     seed: int
-    stratify_on: str = "label"
 
     def __post_init__(self):
         fracs = (self.train_frac, self.val_frac, self.test_frac)
@@ -324,40 +319,47 @@ def _load_long_csv(path, catalog, task, labels_path):
     return records
 
 
-def _load_jsonl(path, catalog, task):
-    records = []
+def read_jsonl(path):
+    """Yield (line number, object) for every non-blank line of a JSONL file."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(str(exc), line=lineno) from exc
-            required = {"patient_id", "sex", "age", "visit_times", "features"}
-            missing = required - obj.keys()
-            if missing:
-                raise SchemaMismatch(f"line {lineno}: missing fields {sorted(missing)}")
-            label = obj.get("label")
-            if label is None and "labels" in obj:
-                label = obj["labels"].get(task)
-            if label is not None:
-                label = _parse_label(label, f"record {obj['patient_id']}")
-            times = tuple(
-                t if isinstance(t, str) else _coerce_number(t)
-                for t in obj["visit_times"]
+            if not isinstance(obj, dict):
+                raise ParseError("expected a JSON object", line=lineno)
+            yield lineno, obj
+
+
+def _load_jsonl(path, catalog, task):
+    records = []
+    for lineno, obj in read_jsonl(path):
+        required = {"patient_id", "sex", "age", "visit_times", "features"}
+        missing = required - obj.keys()
+        if missing:
+            raise SchemaMismatch(f"line {lineno}: missing fields {sorted(missing)}")
+        label = obj.get("label")
+        if label is None and "labels" in obj:
+            label = obj["labels"].get(task)
+        if label is not None:
+            label = _parse_label(label, f"record {obj['patient_id']}")
+        times = tuple(
+            t if isinstance(t, str) else _coerce_number(t)
+            for t in obj["visit_times"]
+        )
+        records.append(
+            PatientRecord(
+                patient_id=str(obj["patient_id"]),
+                sex=obj["sex"],
+                age=float(obj["age"]),
+                visit_times=times,
+                features=obj["features"],
+                label=label,
             )
-            records.append(
-                PatientRecord(
-                    patient_id=str(obj["patient_id"]),
-                    sex=obj["sex"],
-                    age=float(obj["age"]),
-                    visit_times=times,
-                    features=obj["features"],
-                    label=label,
-                )
-            )
+        )
     return records
 
 
@@ -401,51 +403,6 @@ def locf_impute(record):
     )
 
 
-_EPOCH = date(1970, 1, 1)
-
-
-def _time_to_hours(t, kind):
-    if kind == TIME_DATE:
-        return (date.fromisoformat(t) - _EPOCH).days * 24.0
-    return float(t)
-
-
-def aggregate_windows(record, window_hours, max_records):
-    """Merge visits falling in the same consecutive window into one visit.
-
-    The merged value per feature is the last observed value in the window
-    (consistent with carry-forward semantics). Output keeps the last visit's
-    timestamp per window and is truncated to the first ``max_records`` windows.
-    """
-    if window_hours <= 0:
-        raise InvariantViolation(f"window must be positive, got {window_hours}")
-    if record.time_kind == TIME_ORDINAL:
-        raise OrdinalTimestamps(
-            f"record {record.patient_id}: ordinal visit indices cannot be "
-            "aggregated by wall-clock windows"
-        )
-    buckets = [
-        int(_time_to_hours(t, record.time_kind) // window_hours)
-        for t in record.visit_times
-    ]
-    groups = []  # list of lists of visit indices
-    for i, b in enumerate(buckets):
-        if groups and buckets[groups[-1][-1]] == b:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    groups = groups[:max_records]
-    new_times = tuple(record.visit_times[g[-1]] for g in groups)
-    new_features = {}
-    for fid, series in record.features.items():
-        merged = []
-        for g in groups:
-            observed = [series[i] for i in g if series[i] is not None]
-            merged.append(observed[-1] if observed else None)
-        new_features[fid] = tuple(merged)
-    return replace(record, visit_times=new_times, features=new_features)
-
-
 def _allocate(count, fracs):
     """Largest-remainder allocation of `count` items over split fractions."""
     raw = [count * f for f in fracs]
@@ -458,7 +415,7 @@ def _allocate(count, fracs):
 
 
 def split_cohort(cohort, spec):
-    """Stratified shuffled split, deterministic for a fixed seed."""
+    """Shuffled split stratified on the label, deterministic for a fixed seed."""
     fracs = (spec.train_frac, spec.val_frac, spec.test_frac)
     n_nonzero = sum(1 for f in fracs if f > 0)
     by_class = {}
@@ -494,19 +451,3 @@ def split_cohort(cohort, spec):
     )
     return CohortSplits(train=cohorts[0], val=cohorts[1], test=cohorts[2])
 
-
-def few_shot_subset(cohort, n_pos, n_neg, seed):
-    """Draw exactly n_pos positive and n_neg negative records, seeded."""
-    pos = [r for r in cohort.records if r.label == 1]
-    neg = [r for r in cohort.records if r.label == 0]
-    if len(pos) < n_pos:
-        raise InsufficientClass(f"need {n_pos} positives, cohort has {len(pos)}")
-    if len(neg) < n_neg:
-        raise InsufficientClass(f"need {n_neg} negatives, cohort has {len(neg)}")
-    rng = np.random.default_rng(seed)
-    chosen = []
-    if n_pos:
-        chosen.extend(pos[i] for i in rng.choice(len(pos), size=n_pos, replace=False))
-    if n_neg:
-        chosen.extend(neg[i] for i in rng.choice(len(neg), size=n_neg, replace=False))
-    return Cohort(records=tuple(chosen), catalog=cohort.catalog, task=cohort.task)

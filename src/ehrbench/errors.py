@@ -23,16 +23,8 @@ class InvariantViolation(EhrBenchError):
     """A record violates a structural invariant (which record, which rule)."""
 
 
-class OrdinalTimestamps(EhrBenchError):
-    """Window aggregation requested on an index-only (ordinal) cohort."""
-
-
 class DegenerateClass(EhrBenchError):
     """A label class has fewer members than the number of requested splits."""
-
-
-class InsufficientClass(EhrBenchError):
-    """Not enough records of a class to satisfy the requested subset."""
 
 
 class MissingGroupStats(EhrBenchError):
@@ -96,14 +88,6 @@ class OutOfRange(EhrBenchError):
 
 
 # --- ICD hierarchy ---
-
-class LayoutError(EhrBenchError):
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
 
 class DuplicateCode(EhrBenchError):
     pass

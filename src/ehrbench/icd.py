@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (
     DuplicateCode,
     InvariantViolation,
-    LayoutError,
+    ParseError,
     TooFewItems,
     UnknownCode,
 )
@@ -59,19 +59,19 @@ def parse_order_file(path, layout=OrderFileLayout()):
             try:
                 order_num = int(raw_order)
             except ValueError:
-                raise LayoutError(f"bad order number {raw_order!r}", line=lineno)
+                raise ParseError(f"bad order number {raw_order!r}", line=lineno)
             if order_num <= prev_order:
-                raise LayoutError(
+                raise ParseError(
                     f"order number {order_num} not increasing after {prev_order}",
                     line=lineno,
                 )
             prev_order = order_num
             code = line[slice(*layout.code)].strip()
             if not CODE_PATTERN.match(code):
-                raise LayoutError(f"bad code {code!r}", line=lineno)
+                raise ParseError(f"bad code {code!r}", line=lineno)
             flag = line[slice(*layout.header_flag)].strip()
             if flag not in ("0", "1"):
-                raise LayoutError(f"bad header flag {flag!r}", line=lineno)
+                raise ParseError(f"bad header flag {flag!r}", line=lineno)
             entries.append(
                 IcdEntry(
                     order_num=order_num,

@@ -10,7 +10,7 @@ ablation settings.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
@@ -345,13 +345,17 @@ def icl_spec_from_cohort(cohort, seed, n_visits=4, time_kind=TIME_ORDINAL,
     )
 
 
-def build_prompt(record, catalog, config, icl_spec=None):
+def build_prompt(record, catalog, config, icl_spec=None, icl_examples=None):
     """Assemble the full prompt in canonical section order.
 
     Layout follows the record's timestamp kind, like the preamble: prompts
     for date-stamped records keep the task instruction and the response
     format sentence as separate paragraphs; ordinal/hour-stamped records
     join them into one.
+
+    In-context examples are synthesized from ``icl_spec`` unless
+    ``icl_examples`` already holds them, so a run rendering many prompts
+    can synthesize them once.
     """
     instruction = task_instruction(config.task, config.horizon)
     response_sentence = response_format_sentence(config.task)
@@ -376,14 +380,16 @@ def build_prompt(record, catalog, config, icl_spec=None):
     if context:
         sections.append(context)
     if config.n_icl_examples > 0:
-        if icl_spec is None:
-            raise MissingGroupStats("n_icl_examples > 0 but no example spec given")
-        examples = synthesize_icl_examples(
-            icl_spec, config.n_icl_examples, config, catalog
-        )
+        if icl_examples is None:
+            if icl_spec is None:
+                raise MissingGroupStats(
+                    "n_icl_examples > 0 but no example spec given")
+            icl_examples = synthesize_icl_examples(
+                icl_spec, config.n_icl_examples, config, catalog
+            )
         blocks = [
             f"Example #{i}:\n{input_text}\n\nRESPONSE:\n{response}"
-            for i, (input_text, response) in enumerate(examples, start=1)
+            for i, (input_text, response) in enumerate(icl_examples, start=1)
         ]
         # the header sits directly above the first example
         sections.append(ICL_HEADER + "\n" + "\n\n".join(blocks))

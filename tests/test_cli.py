@@ -1,10 +1,14 @@
 import csv
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from ehrbench.cli import config_fingerprint, main
+from ehrbench.prompts import task_instruction
 from ehrbench.synthetic import (
     synthetic_cohort,
     write_catalog_csv,
@@ -12,6 +16,7 @@ from ehrbench.synthetic import (
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_run_config(tmp_path, *, model_name="echo-0.5", n_patients=30,
@@ -156,6 +161,44 @@ class TestPredict:
         assert float(rows[0]["auroc_mean"]) == 0.5
 
 
+# (config key the message must name, edit that breaks it)
+BAD_CONFIGS = [
+    ("data.task", lambda c: c["data"].pop("task")),
+    ("bootstrap.sed", lambda c: c["bootstrap"].update(sed=1)),
+    ("decode.count_unknown",
+     lambda c: c.update(decode={"count_unknown": True})),
+    ("extra", lambda c: c.update(extra=1)),
+    ("prompt.task", lambda c: c["prompt"].update(task="mortality")),
+    ("split.stratify_on", lambda c: c["split"].update(stratify_on="label")),
+    ("prompt", lambda c: c.update(prompt=[])),
+    ("prompt.n_icl_examples",
+     lambda c: c["prompt"].update(n_icl_examples="2")),
+]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("key, edit", BAD_CONFIGS,
+                             ids=[key for key, _ in BAD_CONFIGS])
+    def test_bad_config_exits_2_naming_key(self, tmp_path, capsys, key,
+                                           edit):
+        config_path, config = write_run_config(tmp_path)
+        edit(config)
+        config_path.write_text(json.dumps(config))
+        for command in ("predict", "prompt-preview"):
+            argv = [command, "--config", str(config_path)]
+            if command == "prompt-preview":
+                argv += ["--sample-id", "p000"]
+            assert main(argv) == 2
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_json_exits_2(self, tmp_path, capsys):
+        config_path, _ = write_run_config(tmp_path)
+        config_path.write_text('{"data": ')
+        assert main(["predict", "--config", str(config_path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+
 class TestPromptPreview:
     def config_for_fixture(self, tmp_path, which, config_kwargs=None):
         config = {
@@ -191,6 +234,31 @@ class TestPromptPreview:
         out = capsys.readouterr().out
         with open(os.path.join(FIXTURES, "golden", "vitals_base.txt")) as fh:
             assert out == fh.read() + "\n"
+
+    def test_preview_is_the_sent_prompt_with_icl(self, tmp_path, capsys):
+        config_path, _ = write_run_config(
+            tmp_path, prompt_overrides={"n_icl_examples": 2})
+        assert main(["predict", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "out" / "transcript.jsonl") as fh:
+            entries = [json.loads(line) for line in fh]
+        assert entries
+        for entry in entries:
+            assert main(["prompt-preview", "--config", str(config_path),
+                         "--sample-id", entry["sample_id"]]) == 0
+            text = capsys.readouterr().out[:-1]
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+                entry["prompt_sha256"]
+
+    def test_task_comes_from_data(self, tmp_path, capsys):
+        config_path, config = write_run_config(tmp_path)
+        config["data"]["task"] = "readmission"
+        config_path.write_text(json.dumps(config))
+        assert main(["prompt-preview", "--config", str(config_path),
+                     "--sample-id", "p000"]) == 0
+        out = capsys.readouterr().out
+        assert task_instruction("readmission", "in_hospital") in out
+        assert task_instruction("mortality", "in_hospital") not in out
 
     def test_unknown_sample(self, tmp_path, capsys):
         config_path = self.config_for_fixture(tmp_path, "lab")
@@ -239,6 +307,17 @@ class TestEvalSentences:
         assert (tmp_path / "out1" / "report.json").read_text() == \
             (tmp_path / "out2" / "report.json").read_text()
 
+    @pytest.mark.parametrize("line", ['{"embedding": [1.0]}', '[1.0]',
+                                      '{"text": "a"}'])
+    def test_malformed_embedding_line(self, tmp_path, capsys, line):
+        pairs = self.write_pairs(tmp_path, [("a", "b", 1.0)])
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text('{"text": "b", "embedding": [1.0]}\n\n' + line + "\n")
+        assert main(["eval-sentences", "--pairs", str(pairs),
+                     "--embeddings-file", str(emb),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_malformed_row(self, tmp_path, capsys):
         path = tmp_path / "pairs.tsv"
         path.write_text("only two\tfields\n")
@@ -265,6 +344,14 @@ class TestEvalIcd:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["per_k"]["3"] == 2.0
         assert report["mean"] == 2.0
+
+    def test_embedding_line_without_code(self, tmp_path, capsys):
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text('{"text": "A000", "embedding": [1.0]}\n')
+        assert main(["eval-icd", "--order-file", self.ORDER,
+                     "--embeddings-file", str(emb), "--ks", "3",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert "line 1" in capsys.readouterr().err
 
     def test_default_ks_rows(self, tmp_path):
         assert main(["eval-icd", "--order-file", self.ORDER,
@@ -298,3 +385,14 @@ class TestReportMerge:
             (tmp_path / "merged" / "merged.json").read_text())
         assert len(merged) == 2
         assert {m["label"] for m in merged} == {"base", "ours"}
+
+
+def test_stub_benchmark_script(tmp_path):
+    """The README quick start runs end to end under strict config keys."""
+    subprocess.run(
+        [sys.executable, os.path.join(REPO, "scripts", "run_stub_benchmark.py"),
+         "--output-dir", str(tmp_path), "--n-patients", "30"],
+        check=True, capture_output=True)
+    with open(tmp_path / "merged" / "merged.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["label"] for r in rows] == ["base", "best"]

@@ -1,6 +1,5 @@
 import csv
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +12,6 @@ from ehrbench.ehr import (
     Cohort,
     PatientRecord,
     SplitSpec,
-    aggregate_windows,
-    few_shot_subset,
     load_catalog,
     load_cohort,
     locf_impute,
@@ -137,6 +134,13 @@ class TestCohortLoading:
         with pytest.raises(errors.InvariantViolation):
             load_cohort(bad, load_catalog(cat), "mortality")
 
+    def test_jsonl_line_must_be_object(self, tmp_path, vitals_catalog):
+        path = tmp_path / "cohort.jsonl"
+        path.write_text("\n[1, 2]\n")
+        with pytest.raises(errors.ParseError) as err:
+            load_cohort(path, vitals_catalog, "mortality")
+        assert err.value.line == 2
+
     def test_cohort_requires_known_task(self, vitals_catalog):
         with pytest.raises(errors.InvariantViolation):
             Cohort(records=(), catalog=vitals_catalog, task="triage")
@@ -169,49 +173,6 @@ class TestLocf:
         # observed count never decreases
         assert sum(v is not None for v in once) >= \
             sum(v is not None for v in series)
-
-
-class TestAggregateWindows:
-    def test_merges_same_window(self):
-        rec = make_record((0.0, 3.0, 13.0, 25.0),
-                          [1.0, 2.0, 3.0, 4.0])
-        out = aggregate_windows(rec, window_hours=12, max_records=48)
-        assert out.visit_times == (3.0, 13.0, 25.0)
-        assert out.features["f"] == (2.0, 3.0, 4.0)
-
-    def test_last_observed_wins_and_missing_skipped(self):
-        rec = make_record((0.0, 3.0, 6.0), [1.0, None, None])
-        out = aggregate_windows(rec, window_hours=12, max_records=48)
-        assert out.features["f"] == (1.0,)
-
-    def test_truncates_to_max_records(self):
-        times = tuple(float(12 * i) for i in range(10))
-        rec = make_record(times, [float(i) for i in range(10)])
-        out = aggregate_windows(rec, window_hours=12, max_records=3)
-        assert out.n_visits == 3
-        assert out.visit_times == (0.0, 12.0, 24.0)
-
-    def test_ordinal_rejected(self):
-        rec = make_record((0, 1, 2), [1.0, 2.0, 3.0])
-        with pytest.raises(errors.OrdinalTimestamps):
-            aggregate_windows(rec, window_hours=12, max_records=48)
-
-    def test_date_records_merge_within_a_day(self):
-        rec = make_record(("2020-01-01", "2020-01-01", "2020-01-03"),
-                          [1.0, 2.0, 3.0])
-        out = aggregate_windows(rec, window_hours=24, max_records=48)
-        assert out.features["f"] == (2.0, 3.0)
-
-    def test_never_increases_visits_and_strictly_increasing(self, rng):
-        for _ in range(50):
-            n = int(rng.integers(1, 15))
-            times = tuple(sorted(float(round(t, 1))
-                                 for t in rng.uniform(0, 200, n)))
-            rec = make_record(times, [float(v) for v in rng.uniform(0, 9, n)])
-            out = aggregate_windows(rec, window_hours=12, max_records=48)
-            assert out.n_visits <= rec.n_visits
-            assert all(a < b for a, b in
-                       zip(out.visit_times, out.visit_times[1:]))
 
 
 class TestSplit:
@@ -253,39 +214,3 @@ class TestSplit:
             SplitSpec(0.5, 0.5, 0.5, seed=0)
         with pytest.raises(errors.InvariantViolation):
             SplitSpec(-0.1, 0.6, 0.5, seed=0)
-
-
-class TestFewShot:
-    def test_counts(self):
-        cohort = synthetic_cohort(n_patients=40, seed=2)
-        sub = few_shot_subset(cohort, n_pos=5, n_neg=5, seed=0)
-        labels = [r.label for r in sub.records]
-        assert labels.count(1) == 5
-        assert labels.count(0) == 5
-
-    def test_deterministic_and_no_duplicates(self):
-        cohort = synthetic_cohort(n_patients=40, seed=2)
-        a = few_shot_subset(cohort, 5, 5, seed=3)
-        b = few_shot_subset(cohort, 5, 5, seed=3)
-        ids = [r.patient_id for r in a.records]
-        assert ids == [r.patient_id for r in b.records]
-        assert len(set(ids)) == 10
-
-    def test_insufficient_class(self, vitals_cohort):
-        with pytest.raises(errors.InsufficientClass):
-            few_shot_subset(vitals_cohort, n_pos=1, n_neg=1, seed=0)
-
-
-def test_window_aggregation_pipeline_matches_manual():
-    # hour-stamped record aggregated to 12h windows, capped at 48 windows
-    hours = [float(h) for h in np.arange(0, 30 * 24, 7)]
-    values = [float(i) for i in range(len(hours))]
-    rec = make_record(tuple(hours), values)
-    out = aggregate_windows(rec, window_hours=12, max_records=48)
-    assert out.n_visits <= 48
-    buckets = sorted({int(h // 12) for h in hours})[:48]
-    assert out.n_visits == len(buckets)
-    for t, b in zip(out.visit_times, buckets):
-        members = [v for h, v in zip(hours, values) if int(h // 12) == b]
-        idx = out.visit_times.index(t)
-        assert out.features["f"][idx] == members[-1]

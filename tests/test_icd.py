@@ -56,7 +56,7 @@ class TestParsing:
     def test_bad_order_number(self, tmp_path):
         path = tmp_path / "codes.order"
         path.write_text(f"{'x':<5} {'A000':<7} 0 {'s':<60} l\n")
-        with pytest.raises(errors.LayoutError) as err:
+        with pytest.raises(errors.ParseError) as err:
             parse_order_file(path)
         assert err.value.line == 1
 
@@ -65,17 +65,17 @@ class TestParsing:
         lines = [f"{2:<5} {'A000':<7} 0 {'s':<60} l",
                  f"{1:<5} {'A001':<7} 0 {'s':<60} l"]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(errors.LayoutError) as err:
+        with pytest.raises(errors.ParseError) as err:
             parse_order_file(path)
         assert err.value.line == 2
 
     def test_bad_code_and_flag(self, tmp_path):
         path = tmp_path / "codes.order"
         path.write_text(f"{1:<5} {'9XX':<7} 0 {'s':<60} l\n")
-        with pytest.raises(errors.LayoutError):
+        with pytest.raises(errors.ParseError):
             parse_order_file(path)
         path.write_text(f"{1:<5} {'A000':<7} 2 {'s':<60} l\n")
-        with pytest.raises(errors.LayoutError):
+        with pytest.raises(errors.ParseError):
             parse_order_file(path)
 
     def test_filter_broad_codes(self, sibling_entries, tmp_path):
