@@ -25,6 +25,8 @@ import typing
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
+import numpy as np
+
 from . import ehr, gateway, icd, metrics, prompts
 from .errors import (
     EhrBenchError,
@@ -69,6 +71,10 @@ class DataSpec:
             if p is not None and not os.path.exists(p):
                 raise InvariantViolation(
                     f"referenced path does not exist: {p}")
+        if self.labels is not None and not ehr.is_long_csv(self.cohort):
+            raise InvariantViolation(
+                "data.labels applies only to a long-CSV cohort; a JSONL "
+                "cohort carries its labels in its records")
 
 
 @dataclass(frozen=True)
@@ -368,14 +374,40 @@ def _load_sentence_pairs(path):
     return pairs
 
 
+def _is_vector(value):
+    """Is a JSON value a non-empty list of finite numbers?"""
+    if not isinstance(value, list):
+        return False
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # nested lists of different lengths
+        return False
+    return (arr.ndim == 1 and arr.size > 0 and arr.dtype.kind in "iuf"
+            and bool(np.isfinite(arr).all()))
+
+
 def _load_embedding_file(path, key="text"):
-    """JSONL of {key: ..., "embedding": [...]} -> dict."""
+    """JSONL of {key: ..., "embedding": [...]} -> dict.
+
+    Every embedding is a non-empty list of finite numbers, as long as the
+    first line's.
+    """
     table = {}
+    dim = None
     for lineno, obj in ehr.read_jsonl(path):
         if not isinstance(obj.get(key), str) or "embedding" not in obj:
             raise ParseError(
                 f'expected a string "{key}" and an "embedding"', line=lineno)
-        table[obj[key]] = obj["embedding"]
+        vec = obj["embedding"]
+        if not _is_vector(vec):
+            raise ParseError('"embedding" must be a non-empty list of '
+                             'finite numbers', line=lineno)
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise ParseError(f'"embedding" has {len(vec)} values, the first '
+                             f'line\'s has {dim}', line=lineno)
+        table[obj[key]] = vec
     return table
 
 

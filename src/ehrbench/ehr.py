@@ -371,10 +371,15 @@ def _coerce_number(t):
     return float(t)
 
 
+def is_long_csv(path):
+    """Is a cohort path a long CSV (labels in a separate CSV), not JSONL?"""
+    return str(path).endswith(".csv")
+
+
 def load_cohort(path, catalog, task, labels_path=None):
     """Load a cohort from long CSV (plus labels CSV) or record-per-line JSON."""
     path = str(path)
-    if path.endswith(".csv"):
+    if is_long_csv(path):
         records = _load_long_csv(path, catalog, task, labels_path)
     else:
         records = _load_jsonl(path, catalog, task)

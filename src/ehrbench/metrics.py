@@ -3,9 +3,20 @@
 AUROC uses the pairwise (Mann-Whitney) formulation with explicit 0.5 tie
 credit. AUPRC is average precision with tied scores grouped into a single
 threshold step. Kendall is the tie-adjusted tau-b; Spearman uses average
-ranks. Bootstrap resample i draws its index sequence from
-``numpy.random.default_rng([seed, i])``, which is the documented contract
-reference implementations may rely on.
+ranks.
+
+All of them count over tie groups: the values are sorted once by
+``np.unique`` and each value gets its group. AUROC and AUPRC then take
+per-group positive and negative counts (``np.bincount``) and finish with a
+cumsum over the groups, O(n log n) for the sort and O(n) after it. Both
+accept a ``TieGroups`` view and per-sample integer ``weights``, so a
+bootstrap resample is scored as the multiplicity of each sample instead of
+a new list; the counts stay integer-valued floats, so the result equals
+the metric on the expanded list bit for bit. Average ranks come from the
+cumsum of group sizes, and Kendall counts discordant pairs by merge sort
+(Knight 1966), O(n log n). Bootstrap resample i draws its index sequence
+from ``numpy.random.default_rng([seed, i])``, which is the documented
+contract reference implementations may rely on.
 """
 from __future__ import annotations
 
@@ -65,80 +76,117 @@ class SimilarityPair:
             raise InvariantViolation(f"gold score {self.gold_score} outside [0, 4]")
 
 
+def _tie_groups(values):
+    """(group of each value, size of each group); groups in ascending order."""
+    _, group, counts = np.unique(np.asarray(values), return_inverse=True,
+                                 return_counts=True)
+    return group, counts
+
+
+def _tied_pairs(counts):
+    """Number of pairs that share a tie group."""
+    return int((counts * (counts - 1) // 2).sum())
+
+
 def _average_ranks(values):
     """1-based average ranks, ties share the mean rank."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=float)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    group, counts = _tie_groups(np.asarray(values, dtype=float))
+    ends = np.cumsum(counts)
+    # a group holding ranks start+1 .. end gets their mean, a half-integer
+    return ((2 * ends - counts + 1) / 2.0)[group]
 
 
-def auroc(samples):
-    """P(score_pos > score_neg) + 0.5 P(score_pos = score_neg)."""
-    labels = np.array([s.label for s in samples])
-    scores = np.array([s.score for s in samples], dtype=float)
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
+@dataclass(frozen=True)
+class TieGroups:
+    """Scored samples grouped by tied score, the view auroc/auprc count on.
+
+    ``group[i]`` is sample i's tie group, numbered in ascending score order;
+    ``label[i]`` its label. Build it once with ``TieGroups.of`` and pass
+    per-sample weights to score any resample of the same samples.
+    """
+
+    group: np.ndarray
+    label: np.ndarray
+    n_groups: int
+
+    @classmethod
+    def of(cls, samples):
+        group, counts = _tie_groups([s.score for s in samples])
+        label = np.array([s.label for s in samples], dtype=float)
+        return cls(group=group, label=label, n_groups=len(counts))
+
+
+def _group_counts(samples, weights):
+    """(positives, negatives) per tie group, each sample counted by weight."""
+    view = samples if isinstance(samples, TieGroups) else TieGroups.of(samples)
+    if weights is None:
+        weights = np.ones(len(view.label))
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != view.label.shape:
+        raise InvariantViolation(
+            f"{weights.shape} weights for {len(view.label)} samples")
+    pos = np.bincount(view.group, weights=weights * view.label,
+                      minlength=view.n_groups)
+    total = np.bincount(view.group, weights=weights, minlength=view.n_groups)
+    return pos, total - pos
+
+
+def auroc(samples, weights=None):
+    """P(score_pos > score_neg) + 0.5 P(score_pos = score_neg).
+
+    ``samples`` is a sequence of ``ScoredSample`` or a ``TieGroups``;
+    ``weights`` counts sample i ``weights[i]`` times, a whole number
+    (default once each).
+    """
+    pos, neg = _group_counts(samples, weights)
+    n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise SingleClass(f"{n_pos} positives, {n_neg} negatives")
-    ranks = _average_ranks(scores)
-    rank_sum_pos = float(ranks[labels == 1].sum())
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    below = np.cumsum(neg) - neg
+    # counts are integer-valued floats, so twice the Mann-Whitney U is exact
+    twice_u = float(pos @ (2.0 * below + neg))
+    return (twice_u / 2.0) / (n_pos * n_neg)
 
 
-def auprc(samples):
-    """Average precision with tied scores collapsed into one threshold."""
-    labels = np.array([s.label for s in samples])
-    scores = np.array([s.score for s in samples], dtype=float)
-    n_pos = int(labels.sum())
+def auprc(samples, weights=None):
+    """Average precision with tied scores collapsed into one threshold.
+
+    Takes the same ``samples`` and ``weights`` as ``auroc``.
+    """
+    pos, neg = _group_counts(samples, weights)
+    n_pos = int(pos.sum())
     if n_pos == 0:
         raise NoPositives("no positive samples")
-    order = np.argsort(-scores, kind="mergesort")
-    labels = labels[order]
-    scores = scores[order]
-    ap = 0.0
-    cum_pos = 0
-    i = 0
-    n = len(labels)
-    while i < n:
-        j = i
-        while j + 1 < n and scores[j + 1] == scores[i]:
-            j += 1
-        group_pos = int(labels[i:j + 1].sum())
-        cum_pos += group_pos
-        if group_pos:
-            precision = cum_pos / (j + 1)
-            ap += precision * group_pos / n_pos
-        i = j + 1
-    return ap
+    pos, total = pos[::-1], (pos + neg)[::-1]
+    hit = pos > 0
+    precision = np.cumsum(pos)[hit] / np.cumsum(total)[hit]
+    # summed one term at a time in threshold order, as a loop over the
+    # thresholds would; np.sum adds pairwise and can differ in the last bit
+    return float(np.cumsum(precision * pos[hit] / n_pos)[-1])
 
 
 def bootstrap(metric, samples, n=10, seed=0, population_std=True,
               max_redraws=100):
     """Resample-with-replacement uncertainty for a metric.
 
-    Resample i uses indices ``default_rng([seed, i]).integers(0, m, m)``.
-    Resamples on which the metric is undefined (a class vanished) are
-    redrawn a bounded number of times, then raised.
+    Resample i uses indices ``default_rng([seed, i]).integers(0, m, m)``
+    and is scored as ``metric(TieGroups.of(samples), weights=...)`` with
+    each sample's multiplicity in the resample as its weight. Resamples on
+    which the metric is undefined (a class vanished) are redrawn a bounded
+    number of times, then raised.
     """
     if not samples:
         raise EmptyInput("no samples")
     m = len(samples)
+    view = TieGroups.of(samples)
     values = []
     for i in range(n):
         rng = np.random.default_rng([seed, i])
         for attempt in range(max_redraws + 1):
             idx = rng.integers(0, m, size=m)
-            resample = [samples[j] for j in idx]
             try:
-                values.append(metric(resample))
+                values.append(
+                    metric(view, weights=np.bincount(idx, minlength=m)))
                 break
             except (SingleClass, NoPositives):
                 if attempt == max_redraws:
@@ -179,34 +227,48 @@ def spearman(xs, ys):
 
 
 def kendall(xs, ys):
-    """Tau-b: tie-adjusted Kendall correlation."""
+    """Tau-b: tie-adjusted Kendall correlation, O(n log n) (Knight 1966)."""
     xs, ys = _check_paired(xs, ys)
     n = len(xs)
-    concordant = discordant = ties_x = ties_y = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = xs[i] - xs[j]
-            b = ys[i] - ys[j]
-            if a == 0 and b == 0:
-                continue
-            if a == 0:
-                ties_x += 1
-            elif b == 0:
-                ties_y += 1
-            elif (a > 0) == (b > 0):
-                concordant += 1
-            else:
-                discordant += 1
+    gx, cx = _tie_groups(xs)
+    gy, cy = _tie_groups(ys)
+    # one key per (x group, y group); its sorted order sorts by x, then y
+    joint = gx * len(cy) + gy
+    _, cxy = _tie_groups(joint)
     n0 = n * (n - 1) // 2
-    denom = math.sqrt((n0 - _tie_term(xs)) * (n0 - _tie_term(ys)))
+    n1, n2, n3 = _tied_pairs(cx), _tied_pairs(cy), _tied_pairs(cxy)
+    denom = math.sqrt((n0 - n1) * (n0 - n2))
     if denom == 0.0:
         raise ConstantInput("kendall undefined for constant input")
-    return (concordant - discordant) / denom
+    # sorted by (x, y), the pairs with y out of order are the discordant ones
+    swaps = _merge_sort_swaps((np.sort(joint) % len(cy)).tolist())
+    return (n0 - n1 - n2 + n3 - 2 * swaps) / denom
 
 
-def _tie_term(values):
-    _, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
-    return int(sum(c * (c - 1) // 2 for c in counts))
+def _merge_sort_swaps(seq):
+    """Number of pairs i < j with seq[i] > seq[j], by bottom-up merge sort."""
+    n = len(seq)
+    swaps = 0
+    width = 1
+    while width < n:
+        merged = []
+        for lo in range(0, n, 2 * width):
+            left = seq[lo:lo + width]
+            right = seq[lo + width:lo + 2 * width]
+            i = j = 0
+            while i < len(left) and j < len(right):
+                if right[j] < left[i]:
+                    merged.append(right[j])
+                    swaps += len(left) - i
+                    j += 1
+                else:
+                    merged.append(left[i])
+                    i += 1
+            merged += left[i:]
+            merged += right[j:]
+        seq = merged
+        width *= 2
+    return swaps
 
 
 def similarity(vec_a, vec_b, measure):

@@ -173,6 +173,8 @@ BAD_CONFIGS = [
     ("prompt", lambda c: c.update(prompt=[])),
     ("prompt.n_icl_examples",
      lambda c: c["prompt"].update(n_icl_examples="2")),
+    # a JSONL cohort carries its labels; a labels CSV would be ignored
+    ("data.labels", lambda c: c["data"].update(labels=c["data"]["catalog"])),
 ]
 
 
@@ -307,8 +309,14 @@ class TestEvalSentences:
         assert (tmp_path / "out1" / "report.json").read_text() == \
             (tmp_path / "out2" / "report.json").read_text()
 
-    @pytest.mark.parametrize("line", ['{"embedding": [1.0]}', '[1.0]',
-                                      '{"text": "a"}'])
+    @pytest.mark.parametrize("line", [
+        '{"embedding": [1.0]}', '[1.0]', '{"text": "a"}',
+        '{"text": "a", "embedding": [1.0, 2.0]}',
+        '{"text": "a", "embedding": []}',
+        '{"text": "a", "embedding": [NaN]}',
+        '{"text": "a", "embedding": ["1.0"]}',
+        '{"text": "a", "embedding": [[1.0]]}',
+        '{"text": "a", "embedding": 1.0}'])
     def test_malformed_embedding_line(self, tmp_path, capsys, line):
         pairs = self.write_pairs(tmp_path, [("a", "b", 1.0)])
         emb = tmp_path / "emb.jsonl"
@@ -352,6 +360,19 @@ class TestEvalIcd:
                      "--embeddings-file", str(emb), "--ks", "3",
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_embeddings_of_different_lengths(self, tmp_path, capsys):
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text("".join(
+            json.dumps({"code": f"{chap}00{i}",
+                        "embedding": [1.0] if (chap, i) == ("A", 0)
+                        else [1.0, 0.0]}) + "\n"
+            for chap in "ABE" for i in range(4)))
+        assert main(["eval-icd", "--order-file", self.ORDER,
+                     "--embeddings-file", str(emb), "--ks", "3",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "2 values" in err
 
     def test_default_ks_rows(self, tmp_path):
         assert main(["eval-icd", "--order-file", self.ORDER,

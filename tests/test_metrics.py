@@ -11,6 +11,8 @@ from ehrbench import errors
 from ehrbench.metrics import (
     ScoredSample,
     SimilarityPair,
+    TieGroups,
+    _average_ranks,
     auprc,
     auroc,
     bootstrap,
@@ -144,6 +146,62 @@ class TestBootstrap:
         with pytest.raises(errors.EmptyInput):
             bootstrap(auroc, [], n=10, seed=0)
 
+    @pytest.mark.parametrize("metric", [auroc, auprc],
+                             ids=["auroc", "auprc"])
+    @pytest.mark.parametrize("cohort", ["random", "one_positive"])
+    def test_equals_per_resample_reference_loop(self, metric, cohort):
+        if cohort == "random":
+            samples = random_scored_samples(np.random.default_rng(78), n=40)
+        else:
+            # resamples often lose the positive: auprc redraws on
+            # NoPositives, auroc on SingleClass
+            samples = [ScoredSample("p", 0.9, 1)] + [
+                ScoredSample(f"n{i}", 0.1 * (i % 3), 0) for i in range(20)]
+        usable = {1}.issubset if metric is auprc else {0, 1}.issubset
+        values, redraws = [], 0
+        for i in range(25):
+            r = np.random.default_rng([6, i])
+            while True:
+                idx = r.integers(0, len(samples), size=len(samples))
+                resample = [samples[j] for j in idx]
+                if usable({s.label for s in resample}):
+                    break
+                redraws += 1
+            values.append(metric(resample))
+        result = bootstrap(metric, samples, n=25, seed=6)
+        assert result.mean == float(np.mean(values))
+        assert result.std == float(np.std(values))
+        if cohort == "one_positive":
+            assert redraws > 0
+
+
+def _outcome(metric, samples, **kwargs):
+    try:
+        return metric(samples, **kwargs)
+    except (errors.SingleClass, errors.NoPositives) as exc:
+        return type(exc)
+
+
+class TestWeights:
+    def test_weights_equal_the_expanded_list(self, rng):
+        for _ in range(300):
+            samples = random_scored_samples(
+                rng, n=int(rng.integers(1, 15)),
+                score_pool=[0.0, 0.25, 0.5, 0.75, 1.0], require_both=False)
+            weights = rng.integers(0, 4, size=len(samples))
+            expanded = [s for s, k in zip(samples, weights)
+                        for _ in range(k)]
+            view = TieGroups.of(samples)
+            for metric in (auroc, auprc):
+                want = _outcome(metric, expanded)
+                assert _outcome(metric, view, weights=weights) == want
+                assert _outcome(metric, samples, weights=weights) == want
+
+    def test_weight_count_must_match(self):
+        samples = [ScoredSample("a", 0.9, 1), ScoredSample("b", 0.1, 0)]
+        with pytest.raises(errors.InvariantViolation):
+            auroc(samples, weights=[1, 1, 1])
+
 
 def pearson_oracle(xs, ys):
     xs, ys = np.asarray(xs, float), np.asarray(ys, float)
@@ -167,21 +225,25 @@ def kendall_oracle(xs, ys):
     return num / math.sqrt((n0 - tx) * (n0 - ty))
 
 
+def average_ranks_oracle(v):
+    """1-based ranks, walking each run of tied values."""
+    v = np.asarray(v, float)
+    order = np.argsort(v)
+    r = np.empty(len(v))
+    i = 0
+    srt = v[order]
+    while i < len(v):
+        j = i
+        while j + 1 < len(v) and srt[j + 1] == srt[i]:
+            j += 1
+        r[order[i:j + 1]] = (i + j) / 2 + 1
+        i = j + 1
+    return r
+
+
 def spearman_oracle(xs, ys):
-    def ranks(v):
-        v = np.asarray(v, float)
-        order = np.argsort(v)
-        r = np.empty(len(v))
-        i = 0
-        srt = v[order]
-        while i < len(v):
-            j = i
-            while j + 1 < len(v) and srt[j + 1] == srt[i]:
-                j += 1
-            r[order[i:j + 1]] = (i + j) / 2 + 1
-            i = j + 1
-        return r
-    return pearson_oracle(ranks(xs), ranks(ys))
+    return pearson_oracle(average_ranks_oracle(xs),
+                          average_ranks_oracle(ys))
 
 
 def _random_vectors(rng, allow_ties=True):
@@ -243,6 +305,30 @@ class TestCorrelations:
     def test_length_mismatch(self):
         with pytest.raises(errors.InvariantViolation):
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_average_ranks_equal_loop_on_ties(self, rng):
+        for n in (1, 2, 3, 10, 57, 200):
+            for pool in (1, 3, 8):
+                values = rng.integers(0, pool, size=n) * 0.5
+                ranks = _average_ranks(values)
+                assert ranks.tolist() == \
+                    average_ranks_oracle(values).tolist()
+
+    def test_kendall_equals_pairwise_oracle_on_ties(self, rng):
+        for n in (2, 3, 5, 17, 64, 200):
+            for _ in range(3):
+                xs = (rng.integers(0, 5, size=n) * 0.5).tolist()
+                ys = (rng.integers(0, 4, size=n) * 1.5).tolist()
+                if len(set(xs)) < 2 or len(set(ys)) < 2:
+                    continue
+                assert kendall(xs, ys) == kendall_oracle(xs, ys)
+
+    def test_kendall_tau_b_matches_scipy_at_n3000(self, rng):
+        stats = pytest.importorskip("scipy.stats")
+        xs = rng.integers(0, 9, size=3000) * 0.5
+        ys = np.round(xs + rng.normal(0, 1.5, size=3000), 1)
+        want = stats.kendalltau(xs, ys, variant="b")[0]
+        assert abs(kendall(xs, ys) - want) <= 1e-12
 
 
 class TestSimilarity:
