@@ -32,7 +32,6 @@ from .errors import (
     EhrBenchError,
     InvariantViolation,
     ParseError,
-    UnknownCode,
     UnknownSample,
 )
 
@@ -81,6 +80,10 @@ class DataSpec:
 class BootstrapSpec:
     n: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise InvariantViolation("bootstrap.n must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -222,6 +225,11 @@ def _write_csv(path, header, rows):
     writer.writerow(header)
     writer.writerows(rows)
     _atomic_write(path, buf.getvalue())
+
+
+def _json_num(x):
+    """NaN (an undefined value) as None, since JSON has no NaN."""
+    return None if isinstance(x, float) and math.isnan(x) else x
 
 
 def _fmt(x):
@@ -374,23 +382,11 @@ def _load_sentence_pairs(path):
     return pairs
 
 
-def _is_vector(value):
-    """Is a JSON value a non-empty list of finite numbers?"""
-    if not isinstance(value, list):
-        return False
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # nested lists of different lengths
-        return False
-    return (arr.ndim == 1 and arr.size > 0 and arr.dtype.kind in "iuf"
-            and bool(np.isfinite(arr).all()))
-
-
 def _load_embedding_file(path, key="text"):
     """JSONL of {key: ..., "embedding": [...]} -> dict.
 
-    Every embedding is a non-empty list of finite numbers, as long as the
-    first line's.
+    Every embedding passes ``gateway.vector_error``, as long as the first
+    line's.
     """
     table = {}
     dim = None
@@ -398,40 +394,37 @@ def _load_embedding_file(path, key="text"):
         if not isinstance(obj.get(key), str) or "embedding" not in obj:
             raise ParseError(
                 f'expected a string "{key}" and an "embedding"', line=lineno)
-        vec = obj["embedding"]
-        if not _is_vector(vec):
-            raise ParseError('"embedding" must be a non-empty list of '
-                             'finite numbers', line=lineno)
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise ParseError(f'"embedding" has {len(vec)} values, the first '
-                             f'line\'s has {dim}', line=lineno)
-        table[obj[key]] = vec
+        problem = gateway.vector_error(obj["embedding"], dim)
+        if problem:
+            raise ParseError(f'"embedding" {problem}', line=lineno)
+        dim = len(obj["embedding"])
+        table[obj[key]] = obj["embedding"]
     return table
+
+
+def _embeddings(args, keys, texts, key):
+    """(n, d) floats, one row per key: the ``--embeddings-file`` line whose
+    ``key`` field holds it, or else the endpoint's embedding of its text."""
+    if args.embeddings_file:
+        table = _load_embedding_file(args.embeddings_file, key=key)
+        missing = [k for k in keys if k not in table]
+        if missing:
+            raise InvariantViolation(
+                f"{len(missing)} of {len(keys)} {key}s lack embeddings, "
+                f"e.g. {missing[0]!r}")
+        return np.array([table[k] for k in keys], dtype=float)
+    return gateway.embed(texts, gateway.EndpointConfig(
+        base_url=args.base_url, model_name=args.model))
 
 
 def cmd_eval_sentences(args):
     raw_pairs = _load_sentence_pairs(args.pairs)
-    texts = []
-    for s1, s2, _ in raw_pairs:
-        for s in (s1, s2):
-            if s not in texts:
-                texts.append(s)
-    if args.embeddings_file:
-        table = _load_embedding_file(args.embeddings_file)
-        missing = [t for t in texts if t not in table]
-        if missing:
-            raise InvariantViolation(
-                f"{len(missing)} sentences lack embeddings, e.g. {missing[0]!r}"
-            )
-    else:
-        cfg = gateway.EndpointConfig(base_url=args.base_url,
-                                     model_name=args.model)
-        vectors = gateway.embed(texts, cfg)
-        table = {t: vectors[i].tolist() for i, t in enumerate(texts)}
+    texts = list(dict.fromkeys(s for s1, s2, _ in raw_pairs for s in (s1, s2)))
+    vectors = _embeddings(args, texts, texts, key="text")
+    by_text = dict(zip(texts, vectors))
     pairs = [
-        metrics.SimilarityPair(vec_a=table[s1], vec_b=table[s2], gold_score=g)
+        metrics.SimilarityPair(vec_a=by_text[s1], vec_b=by_text[s2],
+                               gold_score=g)
         for s1, s2, g in raw_pairs
     ]
     grid = metrics.sentence_matching_eval(pairs)
@@ -454,19 +447,9 @@ def cmd_eval_icd(args):
     entries = icd.filter_broad_codes(icd.parse_order_file(args.order_file))
     tree = icd.build_tree(entries)
     codes = [e.code for e in entries]
-    if args.embeddings_file:
-        table = _load_embedding_file(args.embeddings_file, key="code")
-        missing = [c for c in codes if c not in table]
-        if missing:
-            raise UnknownCode(
-                f"{len(missing)} codes lack embeddings, e.g. {missing[0]}"
-            )
-        embeddings = [table[c] for c in codes]
-    else:
-        cfg = gateway.EndpointConfig(base_url=args.base_url,
-                                     model_name=args.model)
-        embeddings = gateway.embed([e.long_desc or e.short_desc
-                                    for e in entries], cfg)
+    embeddings = _embeddings(
+        args, codes, [e.long_desc or e.short_desc for e in entries],
+        key="code")
     ks = tuple(int(k) for k in args.ks.split(","))
     result = icd.hierarchy_benchmark(tree, codes, embeddings, ks=ks,
                                      seed=args.seed)
@@ -474,8 +457,8 @@ def cmd_eval_icd(args):
     _write_json(os.path.join(args.output_dir, "report.json"), {
         "n_codes": len(codes),
         "seed": args.seed,
-        "per_k": {str(k): v for k, v in result["per_k"].items()},
-        "mean": result["mean"],
+        "per_k": {str(k): _json_num(v) for k, v in result["per_k"].items()},
+        "mean": _json_num(result["mean"]),
     })
     rows = [[k, _fmt(v)] for k, v in result["per_k"].items()]
     rows.append(["mean", _fmt(result["mean"])])

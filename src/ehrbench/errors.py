@@ -57,10 +57,6 @@ class RateLimited(GatewayError):
     pass
 
 
-class DimensionMismatch(EhrBenchError):
-    """Embedding endpoint returned ragged vectors."""
-
-
 class EmptyInput(EhrBenchError):
     pass
 

@@ -26,9 +26,9 @@ import requests
 
 from .errors import (
     AuthFailure,
-    DimensionMismatch,
     EmptyInput,
     EndpointUnreachable,
+    GatewayError,
     InvariantViolation,
     RateLimited,
 )
@@ -50,10 +50,13 @@ class EndpointConfig:
     backoff_base: float = 0.5
 
     def __post_init__(self):
-        if self.max_in_flight < 1:
-            raise InvariantViolation("max_in_flight must be >= 1")
-        if self.temperature < 0:
-            raise InvariantViolation("temperature must be >= 0")
+        # "not >=" so that a NaN float fails too
+        for key, least in (("max_in_flight", 1), ("temperature", 0),
+                           ("max_retries", 0), ("backoff_base", 0)):
+            if not getattr(self, key) >= least:
+                raise InvariantViolation(f"endpoint.{key} must be >= {least}")
+        if not self.timeout > 0:
+            raise InvariantViolation("endpoint.timeout must be > 0")
 
     @property
     def is_stub(self):
@@ -140,7 +143,11 @@ def _post_with_retries(url, payload, cfg, sample_id=None):
                 )
             else:
                 resp.raise_for_status()
-                return resp.json()
+                try:
+                    return resp.json()
+                except ValueError:
+                    raise GatewayError(f"HTTP {resp.status_code} body is not "
+                                       "JSON", sample_id=sample_id) from None
         if attempt < cfg.max_retries:
             time.sleep(cfg.backoff_base * 2**attempt)
     raise last_error
@@ -199,8 +206,27 @@ def _stub_embed(texts, model_name):
     return np.asarray(rows, dtype=float)
 
 
+def vector_error(value, dim=None):
+    """Why a JSON value is not an embedding (a non-empty list of finite
+    numbers, ``dim`` long if given), or None if it is one."""
+    arr = None
+    if isinstance(value, list):
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # nested lists of different lengths
+            pass
+    if arr is None or not (arr.ndim == 1 and arr.size > 0
+                           and arr.dtype.kind in "iuf"
+                           and np.isfinite(arr).all()):
+        return "must be a non-empty list of finite numbers"
+    if dim is not None and len(value) != dim:
+        return f"has {len(value)} values, the first has {dim}"
+    return None
+
+
 def embed(texts, cfg):
-    """Embed texts; one row per input, row order = input order."""
+    """Embed texts; one row per input, row order = input order. A response
+    whose vectors fail ``vector_error`` raises ``GatewayError``."""
     if not texts:
         raise EmptyInput("no texts to embed")
     if cfg.is_stub:
@@ -213,10 +239,17 @@ def embed(texts, cfg):
     body = _post_with_retries(
         cfg.base_url.rstrip("/") + "/embeddings", payload, cfg
     )
-    vectors = [item["embedding"] for item in body["data"]]
-    dims = {len(v) for v in vectors}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"ragged embedding dims {sorted(dims)}")
+    try:
+        vectors = [item["embedding"] for item in body["data"]]
+    except (KeyError, TypeError):
+        raise GatewayError('embeddings response lacks "data" with an '
+                           '"embedding" per item') from None
+    if len(vectors) != len(texts):
+        raise GatewayError(f"{len(vectors)} embeddings for {len(texts)} texts")
+    for i, vec in enumerate(vectors):
+        problem = vector_error(vec, len(vectors[0]) if i else None)
+        if problem:
+            raise GatewayError(f"embedding {i} {problem}")
     return np.asarray(vectors, dtype=float)
 
 

@@ -1,4 +1,4 @@
-"""ICD-10-CM hierarchy: order-file parsing, prefix tree, LCA distances,
+"""ICD-10-CM hierarchy: order-file parsing, prefix tree, tree distances,
 k-means clustering of code embeddings, and the intra-cluster distance report.
 
 Tree topology: codes parent to their longest existing shorter prefix (so
@@ -8,6 +8,7 @@ makes cross-chapter distances finite.
 """
 from __future__ import annotations
 
+import collections
 import re
 from dataclasses import dataclass
 
@@ -35,18 +36,15 @@ class IcdEntry:
     long_desc: str
 
 
-@dataclass(frozen=True)
-class OrderFileLayout:
-    """Column slices of the CMS fixed-width order file (0-based, end-exclusive)."""
-
-    order_num: tuple = (0, 5)
-    code: tuple = (6, 13)
-    header_flag: tuple = (14, 15)
-    short_desc: tuple = (16, 76)
-    long_desc_start: int = 77
+# columns of the CMS fixed-width order file
+_ORDER_NUM = slice(0, 5)
+_CODE = slice(6, 13)
+_HEADER_FLAG = slice(14, 15)
+_SHORT_DESC = slice(16, 76)
+_LONG_DESC = slice(77, None)
 
 
-def parse_order_file(path, layout=OrderFileLayout()):
+def parse_order_file(path):
     """Parse the fixed-width order file into entries, validating as we go."""
     entries = []
     prev_order = 0
@@ -55,7 +53,7 @@ def parse_order_file(path, layout=OrderFileLayout()):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            raw_order = line[slice(*layout.order_num)].strip()
+            raw_order = line[_ORDER_NUM].strip()
             try:
                 order_num = int(raw_order)
             except ValueError:
@@ -66,10 +64,10 @@ def parse_order_file(path, layout=OrderFileLayout()):
                     line=lineno,
                 )
             prev_order = order_num
-            code = line[slice(*layout.code)].strip()
+            code = line[_CODE].strip()
             if not CODE_PATTERN.match(code):
                 raise ParseError(f"bad code {code!r}", line=lineno)
-            flag = line[slice(*layout.header_flag)].strip()
+            flag = line[_HEADER_FLAG].strip()
             if flag not in ("0", "1"):
                 raise ParseError(f"bad header flag {flag!r}", line=lineno)
             entries.append(
@@ -77,8 +75,8 @@ def parse_order_file(path, layout=OrderFileLayout()):
                     order_num=order_num,
                     code=code,
                     is_header=flag == "1",
-                    short_desc=line[slice(*layout.short_desc)].strip(),
-                    long_desc=line[layout.long_desc_start:].strip(),
+                    short_desc=line[_SHORT_DESC].strip(),
+                    long_desc=line[_LONG_DESC].strip(),
                 )
             )
     return entries
@@ -94,16 +92,6 @@ class IcdTree:
 
     def __init__(self, parent):
         self._parent = dict(parent)
-        self._depth = {}
-        for node in self._parent:
-            self._depth[node] = self._compute_depth(node)
-
-    def _compute_depth(self, node):
-        depth = 0
-        while node != ROOT:
-            node = self._parent[node]
-            depth += 1
-        return depth
 
     def __contains__(self, code):
         return code in self._parent
@@ -116,13 +104,10 @@ class IcdTree:
             raise UnknownCode(code)
         return self._parent[code]
 
-    def depth(self, code):
-        if code not in self._depth:
-            raise UnknownCode(code)
-        return self._depth[code]
-
     def ancestors(self, code):
         """Path from code up to and including the root."""
+        if code not in self._parent:
+            raise UnknownCode(code)
         path = [code]
         while code != ROOT:
             code = self._parent[code]
@@ -154,24 +139,10 @@ def build_tree(entries):
     return IcdTree(parent)
 
 
-def lca(tree, code_a, code_b):
-    ancestors_a = set(tree.ancestors(code_a))
-    node = code_b
-    while node not in ancestors_a:
-        node = tree.parent(node)
-    return node
-
-
 def icd_distance(tree, code_a, code_b):
-    """Edge-count path length between two codes through their LCA."""
-    if code_a not in tree:
-        raise UnknownCode(code_a)
-    if code_b not in tree:
-        raise UnknownCode(code_b)
-    anc = lca(tree, code_a, code_b)
-    return (tree.depth(code_a) - tree.depth(anc)) + (
-        tree.depth(code_b) - tree.depth(anc)
-    )
+    """Edge-count path length between two codes: the number of nodes on
+    one code's root path and not the other's."""
+    return len(set(tree.ancestors(code_a)) ^ set(tree.ancestors(code_b)))
 
 
 @dataclass(frozen=True)
@@ -204,7 +175,11 @@ def _kmeans_pp_init(points, k, rng):
     return centroids
 
 
-def kmeans(embeddings, k, seed, max_iter=100, tol=1e-6):
+_MAX_ITER = 100
+_TOL = 1e-6  # stop once no centroid moves this far
+
+
+def kmeans(embeddings, k, seed):
     """Lloyd iterations from a seeded k-means++ start.
 
     Empty clusters are reseeded to the point farthest from its assigned
@@ -216,9 +191,7 @@ def kmeans(embeddings, k, seed, max_iter=100, tol=1e-6):
         raise TooFewItems(f"{n} items for k={k}")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, k, rng)
-    labels = np.zeros(n, dtype=int)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels = dist2.argmin(axis=1)
         new_centroids = centroids.copy()
@@ -232,11 +205,11 @@ def kmeans(embeddings, k, seed, max_iter=100, tol=1e-6):
                 labels[farthest] = c
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        if shift < tol:
+        if shift < _TOL:
             break
     return ClusterAssignment(
         k=k,
-        labels=tuple(int(x) for x in labels),
+        labels=labels,
         centroids=tuple(map(tuple, centroids)),
         iterations_run=iterations,
     )
@@ -247,34 +220,29 @@ def avg_code_distance(tree, codes, assignment):
 
     Clusters with fewer than two members are excluded from the outer mean
     (the inner normalizer is undefined there); NaN when nothing remains.
+
+    A cluster of n members has pairwise distances summing to c * (n - c)
+    over the edges (node to parent) on its members' root paths, with c the
+    members below the edge: exact integers, as a pairwise loop's.
     """
-    if len(codes) != len(assignment.labels):
+    labels = assignment.labels
+    if len(codes) != len(labels):
         raise InvariantViolation("codes and labels length mismatch")
-    clusters = {}
-    for code, label in zip(codes, assignment.labels):
-        if code not in tree:
-            raise UnknownCode(code)
-        clusters.setdefault(label, []).append(code)
-    cluster_means = []
-    for members in clusters.values():
-        if len(members) < 2:
-            continue
-        total = 0
-        count = 0
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                total += icd_distance(tree, members[i], members[j])
-                count += 1
-        cluster_means.append(total / count)
+    sizes = collections.Counter(labels)
+    below = collections.Counter(
+        (label, node) for code, label in zip(codes, labels)
+        for node in tree.ancestors(code)[:-1])  # the root has no parent edge
+    totals = dict.fromkeys(sizes, 0)
+    for (label, _), c in below.items():
+        totals[label] += c * (sizes[label] - c)
+    cluster_means = [totals[label] / (n * (n - 1) // 2)
+                     for label, n in sizes.items() if n >= 2]
     if not cluster_means:
         return float("nan")
     return sum(cluster_means) / len(cluster_means)
 
 
-DEFAULT_KS = (10, 20, 30, 40, 50)
-
-
-def hierarchy_benchmark(tree, codes, embeddings, ks=DEFAULT_KS, seed=0):
+def hierarchy_benchmark(tree, codes, embeddings, ks, seed=0):
     """avg_code_distance per cluster count K plus the mean across Ks.
 
     Per-K kmeans seeds derive from (seed, K) so Ks can run independently.

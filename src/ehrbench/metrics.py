@@ -165,15 +165,18 @@ def auprc(samples, weights=None):
     return float(np.cumsum(precision * pos[hit] / n_pos)[-1])
 
 
-def bootstrap(metric, samples, n=10, seed=0, population_std=True,
-              max_redraws=100):
+_MAX_REDRAWS = 100
+
+
+def bootstrap(metric, samples, n=10, seed=0):
     """Resample-with-replacement uncertainty for a metric.
 
     Resample i uses indices ``default_rng([seed, i]).integers(0, m, m)``
     and is scored as ``metric(TieGroups.of(samples), weights=...)`` with
     each sample's multiplicity in the resample as its weight. Resamples on
     which the metric is undefined (a class vanished) are redrawn a bounded
-    number of times, then raised.
+    number of times, then raised. ``std`` is the population standard
+    deviation of the resample values.
     """
     if not samples:
         raise EmptyInput("no samples")
@@ -182,20 +185,19 @@ def bootstrap(metric, samples, n=10, seed=0, population_std=True,
     values = []
     for i in range(n):
         rng = np.random.default_rng([seed, i])
-        for attempt in range(max_redraws + 1):
+        for attempt in range(_MAX_REDRAWS + 1):
             idx = rng.integers(0, m, size=m)
             try:
                 values.append(
                     metric(view, weights=np.bincount(idx, minlength=m)))
                 break
             except (SingleClass, NoPositives):
-                if attempt == max_redraws:
+                if attempt == _MAX_REDRAWS:
                     raise
     values = np.asarray(values, dtype=float)
-    ddof = 0 if population_std else 1
     return BootstrapResult(
         mean=float(values.mean()),
-        std=float(values.std(ddof=ddof)),
+        std=float(values.std()),
         n_resamples=n,
         seed=seed,
     )

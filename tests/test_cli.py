@@ -175,6 +175,13 @@ BAD_CONFIGS = [
      lambda c: c["prompt"].update(n_icl_examples="2")),
     # a JSONL cohort carries its labels; a labels CSV would be ignored
     ("data.labels", lambda c: c["data"].update(labels=c["data"]["catalog"])),
+    # no resamples: the report's mean and std would be NaN
+    ("bootstrap.n", lambda c: c["bootstrap"].update(n=0)),
+    # every request would fail, or the first retry's sleep would raise
+    ("endpoint.max_retries", lambda c: c["endpoint"].update(max_retries=-1)),
+    ("endpoint.timeout", lambda c: c["endpoint"].update(timeout=0)),
+    ("endpoint.backoff_base",
+     lambda c: c["endpoint"].update(backoff_base=-0.5)),
 ]
 
 
@@ -373,6 +380,22 @@ class TestEvalIcd:
                      "--output-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "2 values" in err
+
+    def test_all_singleton_clusters_write_null(self, tmp_path):
+        # 12 codes in 12 clusters: no cluster has a pair, so no value
+        assert main(["eval-icd", "--order-file", self.ORDER, "--ks", "12",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+
+        def no_constants(name):
+            raise AssertionError(f"report.json holds bare {name}")
+
+        report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                            parse_constant=no_constants)
+        assert report["per_k"] == {"12": None}
+        assert report["mean"] is None
+        with open(tmp_path / "out" / "report.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [["12", "nan"], ["mean", "nan"]]
 
     def test_default_ks_rows(self, tmp_path):
         assert main(["eval-icd", "--order-file", self.ORDER,

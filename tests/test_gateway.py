@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrbench import errors
+from ehrbench.cli import main
 from ehrbench.gateway import (
     EndpointConfig,
     MissingRateReport,
@@ -176,6 +177,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     script = []        # list of status codes; last one repeats
     requests_seen = []
+    embed_body = None  # raw 200 body for /embeddings; None: a vector per input
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -187,11 +189,12 @@ class _Handler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         if self.path.endswith("/embeddings"):
-            payload = {"data": [{"embedding": [0.1, 0.2]}
-                                for _ in body["input"]]}
+            blob = self.embed_body or json.dumps(
+                {"data": [{"embedding": [0.1, 0.2]}
+                          for _ in body["input"]]}).encode()
         else:
-            payload = {"choices": [{"message": {"content": "0.77"}}]}
-        blob = json.dumps(payload).encode()
+            blob = json.dumps(
+                {"choices": [{"message": {"content": "0.77"}}]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
@@ -205,10 +208,13 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture
 def http_endpoint():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval keeps shutdown() from waiting 0.5 s per test
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
     thread.start()
     _Handler.requests_seen = []
     _Handler.script = [200]
+    _Handler.embed_body = None
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
 
@@ -263,3 +269,34 @@ class TestHttpWireFormat:
         path, _, body = _Handler.requests_seen[0]
         assert path == "/embeddings"
         assert body == {"model": "emb", "input": ["a", "b"]}
+
+
+# 200 bodies for a two-text embeddings request that are not two embeddings
+BAD_EMBED_BODIES = {
+    "not_json": b"<html>ok</html>",
+    "no_data": b'{"object": "list"}',
+    "no_embedding": b'{"data": [{"vector": [0.1]}, {"vector": [0.2]}]}',
+    "data_not_list": b'{"data": 3}',
+    "too_few": b'{"data": [{"embedding": [0.1, 0.2]}]}',
+    "too_many": b'{"data": [{"embedding": [0.1]}, {"embedding": [0.2]},'
+                b' {"embedding": [0.3]}]}',
+    "nan": b'{"data": [{"embedding": [NaN, 0.2]}, {"embedding": [0.1, 0.2]}]}',
+    "ragged": b'{"data": [{"embedding": [0.1]}, {"embedding": [0.1, 0.2]}]}',
+    "empty": b'{"data": [{"embedding": []}, {"embedding": []}]}',
+}
+
+
+@pytest.mark.parametrize("name", BAD_EMBED_BODIES)
+def test_malformed_embeddings_response(http_endpoint, tmp_path, capsys, name):
+    """embed raises a harness error, and eval-sentences exits 2 on it."""
+    _Handler.embed_body = BAD_EMBED_BODIES[name]
+    cfg = EndpointConfig(base_url=http_endpoint, model_name="emb")
+    with pytest.raises(errors.EhrBenchError):
+        embed(["a", "b"], cfg)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a\tb\t1.0\nb\ta\t2.0\n")
+    assert main(["eval-sentences", "--pairs", str(pairs),
+                 "--base-url", http_endpoint, "--model", "emb",
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()

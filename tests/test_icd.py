@@ -15,7 +15,6 @@ from ehrbench.icd import (
     hierarchy_benchmark,
     icd_distance,
     kmeans,
-    lca,
     parse_order_file,
 )
 
@@ -109,11 +108,6 @@ class TestTree:
     def test_duplicate_rejected(self):
         with pytest.raises(errors.DuplicateCode):
             build_tree([_FakeEntry("A00"), _FakeEntry("A00")])
-
-    def test_lca(self, sibling_tree):
-        assert lca(sibling_tree, "A000", "A001") == "A"
-        assert lca(sibling_tree, "A000", "B000") == ROOT
-        assert lca(sibling_tree, "A000", "A000") == "A000"
 
 
 class _FakeEntry:
@@ -238,6 +232,33 @@ class TestAvgCodeDistance:
                      for b in members[i + 1:]]
             means.append(sum(dists) / len(dists))
         assert got == pytest.approx(sum(means) / len(means))
+
+    def test_equals_pairwise_distance_loop_on_random_trees(self, rng):
+        from ehrbench.icd import ClusterAssignment
+        for _ in range(20):
+            parent = random_parent_map(rng, int(rng.integers(5, 60)))
+            tree = IcdTree(parent)
+            nodes = [n for n in parent if n != ROOT]
+            codes = [nodes[int(i)] for i in rng.permutation(len(nodes))]
+            k = int(rng.integers(1, 6))
+            labels = [int(x) for x in rng.integers(0, k, size=len(codes))]
+            assignment = ClusterAssignment(k=k, labels=tuple(labels),
+                                           centroids=(), iterations_run=0)
+            clusters = collections.defaultdict(list)
+            for code, label in zip(codes, labels):
+                clusters[label].append(code)
+            means = []
+            for members in clusters.values():
+                if len(members) < 2:
+                    continue
+                pairs = [(a, b) for i, a in enumerate(members)
+                         for b in members[i + 1:]]
+                means.append(sum(icd_distance(tree, a, b) for a, b in pairs)
+                             / len(pairs))
+            expected = sum(means) / len(means) if means else float("nan")
+            got = avg_code_distance(tree, codes, assignment)
+            assert got == expected or (math.isnan(got)
+                                       and math.isnan(expected))
 
     def test_all_singletons_nan(self, sibling_tree, sibling_entries):
         from ehrbench.icd import ClusterAssignment
