@@ -189,7 +189,7 @@ class RunPlan:
                 self.splits.train, seed=self.config.split.seed,
                 time_kind=time_kind)
             self._icl_examples[time_kind] = prompts.synthesize_icl_examples(
-                spec, cfg.n_icl_examples, cfg, self.catalog)
+                spec, cfg.n_icl_examples, self.catalog)
         return self._icl_examples[time_kind]
 
     def render(self, record):
@@ -450,8 +450,7 @@ def cmd_eval_icd(args):
     embeddings = _embeddings(
         args, codes, [e.long_desc or e.short_desc for e in entries],
         key="code")
-    ks = tuple(int(k) for k in args.ks.split(","))
-    result = icd.hierarchy_benchmark(tree, codes, embeddings, ks=ks,
+    result = icd.hierarchy_benchmark(tree, codes, embeddings, ks=args.ks,
                                      seed=args.seed)
     os.makedirs(args.output_dir, exist_ok=True)
     _write_json(os.path.join(args.output_dir, "report.json"), {
@@ -479,6 +478,18 @@ def cmd_report_merge(args):
                [_report_row(report) for report in merged])
     print(f"wrote {args.output_dir}/merged.csv ({len(merged)} reports)")
     return 0
+
+
+def _ks(text):
+    """``--ks``: comma-separated integers >= 1."""
+    try:
+        ks = tuple(int(k) for k in text.split(","))
+    except ValueError:
+        ks = ()
+    if not ks or min(ks) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers >= 1, got {text!r}")
+    return ks
 
 
 def build_parser():
@@ -521,8 +532,8 @@ def build_parser():
                         "embeds code descriptions)")
     p.add_argument("--base-url", default=gateway.STUB_BASE_URL)
     p.add_argument("--model", default="hash-embed-64")
-    p.add_argument("--ks", default="10,20,30,40,50",
-                   help="comma-separated cluster counts")
+    p.add_argument("--ks", type=_ks, default="10,20,30,40,50",
+                   help="comma-separated cluster counts, each >= 1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_eval_icd)

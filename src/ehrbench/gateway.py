@@ -122,6 +122,13 @@ def _stub_complete(prompt_text, model_name):
 
 
 def _post_with_retries(url, payload, cfg, sample_id=None):
+    """POST ``payload`` and return the JSON body of a 2xx answer.
+
+    401/403 raise ``AuthFailure`` at once. 429, 5xx and connection errors
+    are retried up to ``cfg.max_retries`` times with exponential backoff.
+    Any other status, and a 2xx body that is not JSON, raise
+    ``GatewayError`` at once.
+    """
     headers = {"Content-Type": "application/json"}
     if cfg.api_key:
         headers["Authorization"] = f"Bearer {cfg.api_key}"
@@ -133,28 +140,33 @@ def _post_with_retries(url, payload, cfg, sample_id=None):
         except requests.RequestException as exc:
             last_error = EndpointUnreachable(str(exc), sample_id=sample_id)
         else:
-            if resp.status_code in (401, 403):
-                raise AuthFailure(f"HTTP {resp.status_code}", sample_id=sample_id)
-            if resp.status_code == 429:
-                last_error = RateLimited("HTTP 429", sample_id=sample_id)
-            elif resp.status_code >= 500:
-                last_error = EndpointUnreachable(
-                    f"HTTP {resp.status_code}", sample_id=sample_id
-                )
-            else:
-                resp.raise_for_status()
+            status = resp.status_code
+            if 200 <= status < 300:
                 try:
                     return resp.json()
                 except ValueError:
-                    raise GatewayError(f"HTTP {resp.status_code} body is not "
-                                       "JSON", sample_id=sample_id) from None
+                    raise GatewayError(f"HTTP {status} body is not JSON",
+                                       sample_id=sample_id) from None
+            if status in (401, 403):
+                raise AuthFailure(f"HTTP {status}", sample_id=sample_id)
+            if status == 429:
+                last_error = RateLimited("HTTP 429", sample_id=sample_id)
+            elif status >= 500:
+                last_error = EndpointUnreachable(f"HTTP {status}",
+                                                 sample_id=sample_id)
+            else:
+                raise GatewayError(f"HTTP {status}", sample_id=sample_id)
         if attempt < cfg.max_retries:
             time.sleep(cfg.backoff_base * 2**attempt)
     raise last_error
 
 
 def complete(prompt, cfg, sample_id=None):
-    """One chat completion; returns the raw response text."""
+    """One chat completion; returns the raw response text.
+
+    A body without a string ``choices[0].message.content`` raises
+    ``GatewayError``.
+    """
     text = prompt.text if hasattr(prompt, "text") else str(prompt)
     if cfg.is_stub:
         return _stub_complete(text, cfg.model_name)
@@ -169,7 +181,14 @@ def complete(prompt, cfg, sample_id=None):
         cfg.base_url.rstrip("/") + "/chat/completions", payload, cfg,
         sample_id=sample_id,
     )
-    return body["choices"][0]["message"]["content"]
+    try:
+        content = body["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError):
+        content = None
+    if not isinstance(content, str):
+        raise GatewayError('chat response lacks a string '
+                           '"choices[0].message.content"', sample_id=sample_id)
+    return content
 
 
 def complete_batch(prompts_by_id, cfg):

@@ -15,7 +15,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .ehr import TIME_DATE, TIME_ORDINAL, locf_impute
+from .ehr import TASKS, TIME_DATE, TIME_ORDINAL, locf_impute
 from .errors import InvariantViolation, MissingGroupStats
 
 ROLE_SENTENCE = (
@@ -60,6 +60,8 @@ ICL_HEADER = "Here is an example of input information:"
 
 ICL_WARNING_THRESHOLD = 3  # prediction quality degrades beyond this
 
+VALUE_DECIMALS = 2  # numeric values and ICL responses
+
 
 def task_instruction(task, horizon):
     if task == "mortality":
@@ -102,14 +104,13 @@ class PromptConfig:
     n_icl_examples: int = 0
     task: str = "mortality"
     horizon: str = "in_hospital"
-    value_decimals: int = 2
 
     def __post_init__(self):
         if self.serialization not in DATA_FORMAT_SENTENCES:
             raise InvariantViolation(f"serialization {self.serialization!r}")
         if self.missing_policy not in ("reserve_nan", "locf"):
             raise InvariantViolation(f"missing_policy {self.missing_policy!r}")
-        if self.task not in ("mortality", "readmission"):
+        if self.task not in TASKS:
             raise InvariantViolation(f"task {self.task!r}")
         if self.horizon not in _MORTALITY_HORIZONS:
             raise InvariantViolation(f"horizon {self.horizon!r}")
@@ -134,11 +135,6 @@ class RenderedPrompt:
         indicator = output_indicator(self.config.task)
         if self.text.count(indicator) != 1:
             raise InvariantViolation("output indicator must appear exactly once")
-
-    @property
-    def token_estimate(self):
-        # whitespace-delimited estimate; no tokenizer parity intended
-        return len(self.text.split())
 
 
 @dataclass(frozen=True)
@@ -165,79 +161,70 @@ class IclExampleSpec:
                     )
 
 
-def format_value(value, entry, decimals):
+def format_value(value, entry):
     if value is None:
         return "unknown" if entry.kind == "categorical" else "nan"
     if entry.kind == "categorical":
         return str(value)
-    return f"{value:.{decimals}f}"
+    return f"{value:.{VALUE_DECIMALS}f}"
 
 
-def _record_features_in_catalog_order(record, catalog):
-    return [catalog[fid] for fid in catalog.feature_ids if fid in record.features]
+def _line(name, tokens):
+    return f'- {name}: "{", ".join(tokens)}"'
 
 
-def _preamble(sex, age, visit_times, time_kind):
+def _preamble(sex, age, visit_times, sep):
+    """Three sentences joined by ``sep``: " " for date-stamped records and
+    every in-context example, "\n" for ordinal/hour-stamped records."""
     n = len(visit_times)
     times = ", ".join(str(t) for t in visit_times)
     visits_word = "visit" if n == 1 else "visits"
-    if time_kind == TIME_DATE:
-        return (
-            f"The patient is a {sex}, aged {age} years. The patient had "
-            f"{n} {visits_word} that occurred at {times}. Details of the "
-            "features for each visit are as follows:"
-        )
-    # ordinal/hour timestamps use the line-per-sentence layout
-    return (
-        f"The patient is a {sex}, aged {age} years.\n"
-        f"The patient had {n} {visits_word} that occurred at {times}.\n"
-        "Details of the features for each visit are as follows:"
-    )
+    return sep.join((
+        f"The patient is a {sex}, aged {age} years.",
+        f"The patient had {n} {visits_word} that occurred at {times}.",
+        "Details of the features for each visit are as follows:",
+    ))
 
 
-def _apply_missing_policy(record, config):
+def _body(preamble, visit_times, rows, layout):
+    """The one writer of a patient body: the preamble, then ``rows`` of
+    (display name, value tokens) as one line per feature (feature_wise) or
+    one block per visit (visit_wise)."""
+    lines = [preamble]
+    if layout == "feature_wise":
+        lines += [_line(name, tokens) for name, tokens in rows]
+    else:
+        for i, t in enumerate(visit_times):
+            lines.append(f"Visit {i + 1} (at {t}):")
+            lines += [_line(name, [tokens[i]]) for name, tokens in rows]
+    return "\n".join(lines)
+
+
+def _record_body(record, catalog, config, layout):
+    """(body, rows) of one record after the missing policy; rows hold each
+    catalog feature of the record, in catalog order, as value tokens."""
+    if not record.features:
+        raise InvariantViolation(f"record {record.patient_id}: no features")
     if config.missing_policy == "locf":
-        return locf_impute(record)
-    return record
+        record = locf_impute(record)
+    rows = [
+        (entry.display_name,
+         [format_value(v, entry) for v in record.features[entry.feature_id]])
+        for entry in catalog if entry.feature_id in record.features
+    ]
+    sep = " " if record.time_kind == TIME_DATE else "\n"
+    preamble = _preamble(record.sex, record.age, record.visit_times, sep)
+    return _body(preamble, record.visit_times, rows, layout), rows
 
 
 def serialize_feature_wise(record, catalog, config):
     """One line per feature: `- <name>: "<v1>, <v2>, ...">`."""
-    if not record.features:
-        raise InvariantViolation(f"record {record.patient_id}: no features")
-    record = _apply_missing_policy(record, config)
-    lines = [_preamble(record.sex, record.age, record.visit_times, record.time_kind)]
-    for entry in _record_features_in_catalog_order(record, catalog):
-        values = ", ".join(
-            format_value(v, entry, config.value_decimals)
-            for v in record.features[entry.feature_id]
-        )
-        lines.append(f'- {entry.display_name}: "{values}"')
-    return "\n".join(lines)
+    return _record_body(record, catalog, config, "feature_wise")[0]
 
 
 def serialize_visit_wise(record, catalog, config):
     """One block per visit, every feature's value at that visit."""
-    if not record.features:
-        raise InvariantViolation(f"record {record.patient_id}: no features")
-    record = _apply_missing_policy(record, config)
-    entries = _record_features_in_catalog_order(record, catalog)
-    parts = [_preamble(record.sex, record.age, record.visit_times, record.time_kind)]
-    for i, t in enumerate(record.visit_times):
-        block = [f"Visit {i + 1} (at {t}):"]
-        for entry in entries:
-            v = format_value(
-                record.features[entry.feature_id][i], entry, config.value_decimals
-            )
-            block.append(f'- {entry.display_name}: "{v}"')
-        parts.append("\n".join(block))
-    return "\n".join(parts)
-
-
-def serialize_record(record, catalog, config):
-    if config.serialization == "visit_wise":
-        return serialize_visit_wise(record, catalog, config)
-    return serialize_feature_wise(record, catalog, config)
+    return _record_body(record, catalog, config, "visit_wise")[0]
 
 
 def render_context(catalog, include_units, include_ranges):
@@ -256,20 +243,13 @@ def render_context(catalog, include_units, include_ranges):
     return "\n".join(lines)
 
 
-def _format_response(p, decimals):
-    text = f"{p:.{decimals}f}"
-    return text
-
-
-def synthesize_icl_examples(spec, k, config, catalog):
+def synthesize_icl_examples(spec, k, catalog):
     """Generate k (input_text, response_text) pairs from group statistics.
 
     Feature values are Gaussian draws per outcome group; responses fall in
     [0, 0.5) for group 0 and [0.5, 1] for group 1. Examples alternate groups
     starting with the survivor group. Deterministic for a fixed seed.
     """
-    if k == 0:
-        return []
     rng = np.random.default_rng(spec.seed)
     examples = []
     for i in range(k):
@@ -285,38 +265,30 @@ def synthesize_icl_examples(spec, k, config, catalog):
                 (start + timedelta(days=2 * j)).isoformat()
                 for j in range(spec.n_visits)
             )
-            time_kind = TIME_DATE
         else:
             times = tuple(range(spec.n_visits))
-            time_kind = TIME_ORDINAL
-        # example bodies always use the one-paragraph preamble, whatever
-        # the timestamp kind
-        lines = [_preamble(sex, age, times, TIME_DATE)]
+        rows = []
         for entry in catalog:
-            if entry.feature_id not in stats:
-                continue
-            mean, var = stats[entry.feature_id]
-            draws = rng.normal(mean, np.sqrt(var), size=spec.n_visits)
-            values = ", ".join(f"{v:.{config.value_decimals}f}" for v in draws)
-            lines.append(f'- {entry.display_name}: "{values}"')
+            if entry.feature_id in stats:
+                mean, var = stats[entry.feature_id]
+                draws = rng.normal(mean, np.sqrt(var), size=spec.n_visits)
+                rows.append((entry.display_name,
+                             [f"{v:.{VALUE_DECIMALS}f}" for v in draws]))
         if group == 0:
-            p = float(rng.uniform(0.0, 0.5))
-            response = _format_response(p, config.value_decimals)
-            if float(response) >= 0.5:  # rounding can cross the boundary
-                response = _format_response(0.5 - 10 ** -config.value_decimals,
-                                            config.value_decimals)
+            # a survivor's response stays below 0.5 after rounding
+            p = min(float(rng.uniform(0.0, 0.5)), 0.5 - 10 ** -VALUE_DECIMALS)
         else:
             p = float(rng.uniform(0.5, 1.0))
-            response = _format_response(p, config.value_decimals)
-            if float(response) < 0.5:
-                response = _format_response(0.5, config.value_decimals)
-        input_text = "Input information of a patient:\n" + "\n".join(lines)
-        examples.append((input_text, response))
+        # example bodies always use the one-paragraph preamble, whatever
+        # the timestamp kind
+        body = _body(_preamble(sex, age, times, " "), times, rows,
+                     "feature_wise")
+        examples.append(("Input information of a patient:\n" + body,
+                         f"{p:.{VALUE_DECIMALS}f}"))
     return examples
 
 
-def icl_spec_from_cohort(cohort, seed, n_visits=4, time_kind=TIME_ORDINAL,
-                         start_date="2020-02-01"):
+def icl_spec_from_cohort(cohort, seed, time_kind=TIME_ORDINAL):
     """Per-group (mean, variance) of every numeric feature over all visits."""
     values = {0: {}, 1: {}}
     for rec in cohort.records:
@@ -336,13 +308,8 @@ def icl_spec_from_cohort(cohort, seed, n_visits=4, time_kind=TIME_ORDINAL,
         for g, feats in values.items()
         if feats
     }
-    return IclExampleSpec(
-        group_stats=group_stats,
-        seed=seed,
-        n_visits=n_visits,
-        time_kind=time_kind,
-        start_date=start_date,
-    )
+    return IclExampleSpec(group_stats=group_stats, seed=seed,
+                          time_kind=time_kind)
 
 
 def build_prompt(record, catalog, config, icl_spec=None, icl_examples=None):
@@ -351,7 +318,8 @@ def build_prompt(record, catalog, config, icl_spec=None, icl_examples=None):
     Layout follows the record's timestamp kind, like the preamble: prompts
     for date-stamped records keep the task instruction and the response
     format sentence as separate paragraphs; ordinal/hour-stamped records
-    join them into one.
+    join them into one. The nan sentence is added when a value token of
+    the patient body is "nan".
 
     In-context examples are synthesized from ``icl_spec`` unless
     ``icl_examples`` already holds them, so a run rendering many prompts
@@ -370,11 +338,8 @@ def build_prompt(record, catalog, config, icl_spec=None, icl_examples=None):
         *task_sections,
         FALLBACK_SENTENCE,
     ]
-    patient_input = (
-        "Input information of a patient:\n"
-        + serialize_record(record, catalog, config)
-    )
-    if _has_nan_token(patient_input):
+    body, rows = _record_body(record, catalog, config, config.serialization)
+    if any("nan" in tokens for _, tokens in rows):
         sections.append(NAN_SENTENCE)
     context = render_context(catalog, config.include_units, config.include_ranges)
     if context:
@@ -385,27 +350,16 @@ def build_prompt(record, catalog, config, icl_spec=None, icl_examples=None):
                 raise MissingGroupStats(
                     "n_icl_examples > 0 but no example spec given")
             icl_examples = synthesize_icl_examples(
-                icl_spec, config.n_icl_examples, config, catalog
-            )
+                icl_spec, config.n_icl_examples, catalog)
         blocks = [
             f"Example #{i}:\n{input_text}\n\nRESPONSE:\n{response}"
             for i, (input_text, response) in enumerate(icl_examples, start=1)
         ]
         # the header sits directly above the first example
         sections.append(ICL_HEADER + "\n" + "\n\n".join(blocks))
-    sections.append(patient_input)
+    sections.append("Input information of a patient:\n" + body)
     sections.append(output_indicator(config.task))
     return RenderedPrompt(text="\n\n".join(sections), config=config)
-
-
-def _has_nan_token(text):
-    for line in text.split("\n"):
-        if '"' not in line:
-            continue
-        inner = line.split('"', 1)[1].rsplit('"', 1)[0]
-        if "nan" in (tok.strip() for tok in inner.split(",")):
-            return True
-    return False
 
 
 def value_tokens(serialized_text):

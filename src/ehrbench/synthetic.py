@@ -10,7 +10,7 @@ import numpy as np
 
 from .ehr import Cohort, FeatureCatalog, FeatureCatalogEntry, PatientRecord
 
-DEFAULT_FEATURES = (
+FEATURES = (
     ("hr", "Heart Rate", "bpm", "60 - 100"),
     ("sbp", "Systolic blood pressure", "mmHg", "less than 120"),
     ("spo2", "Oxygen saturation", "%", "95 - 100"),
@@ -23,36 +23,39 @@ _BASELINES = {"hr": 80.0, "sbp": 120.0, "spo2": 97.0, "glu": 95.0,
 _LABEL_SHIFT = {"hr": 15.0, "sbp": -12.0, "spo2": -4.0, "glu": 20.0,
                 "temp": 0.8}
 
+TASK = "mortality"
+POSITIVE_FRAC = 0.3
+MIN_VISITS, MAX_VISITS = 2, 6
+MISSING_FRAC = 0.1  # chance that one cell is missing
 
-def synthetic_catalog(features=DEFAULT_FEATURES):
+
+def synthetic_catalog():
     return FeatureCatalog(
         FeatureCatalogEntry(
             feature_id=fid, display_name=name, unit=unit,
             reference_range=rng, kind="numeric",
         )
-        for fid, name, unit, rng in features
+        for fid, name, unit, rng in FEATURES
     )
 
 
-def synthetic_cohort(n_patients=40, seed=0, task="mortality",
-                     positive_frac=0.3, min_visits=2, max_visits=6,
-                     missing_frac=0.1):
+def synthetic_cohort(n_patients=40, seed=0):
     """Build a labeled ordinal-time cohort, deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
     catalog = synthetic_catalog()
     records = []
-    n_pos = max(1, round(n_patients * positive_frac))
+    n_pos = max(1, round(n_patients * POSITIVE_FRAC))
     for i in range(n_patients):
         label = 1 if i < n_pos else 0
-        n_visits = int(rng.integers(min_visits, max_visits + 1))
+        n_visits = int(rng.integers(MIN_VISITS, MAX_VISITS + 1))
         features = {}
-        for fid, *_ in DEFAULT_FEATURES:
+        for fid, *_ in FEATURES:
             center = _BASELINES[fid] + label * _LABEL_SHIFT[fid]
             series = rng.normal(center, abs(_BASELINES[fid]) * 0.05,
                                 size=n_visits)
             cells = [float(round(v, 2)) for v in series]
             for j in range(n_visits):
-                if rng.uniform() < missing_frac:
+                if rng.uniform() < MISSING_FRAC:
                     cells[j] = None
             if all(c is None for c in cells):
                 cells[0] = float(round(center, 2))
@@ -70,7 +73,7 @@ def synthetic_cohort(n_patients=40, seed=0, task="mortality",
     # interleave labels so any contiguous slice keeps both classes around
     order = rng.permutation(len(records))
     return Cohort(records=tuple(records[i] for i in order), catalog=catalog,
-                  task=task)
+                  task=TASK)
 
 
 def write_catalog_csv(catalog, path):

@@ -182,6 +182,9 @@ BAD_CONFIGS = [
     ("endpoint.timeout", lambda c: c["endpoint"].update(timeout=0)),
     ("endpoint.backoff_base",
      lambda c: c["endpoint"].update(backoff_base=-0.5)),
+    # values print with two decimals; this is no longer a setting
+    ("prompt.value_decimals",
+     lambda c: c["prompt"].update(value_decimals=2)),
 ]
 
 
@@ -404,6 +407,15 @@ class TestEvalIcd:
         with open(tmp_path / "out" / "report.csv") as fh:
             rows = list(csv.reader(fh))
         assert [r[0] for r in rows] == ["k", "2", "3", "4", "mean"]
+
+    @pytest.mark.parametrize("ks", ["3,x", "", "0", "-2", "2,,3"])
+    def test_bad_ks_exits_2(self, tmp_path, capsys, ks):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-icd", "--order-file", self.ORDER, "--ks", ks,
+                  "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--ks" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_order_file(self, tmp_path, capsys):
         assert main(["eval-icd", "--order-file", str(tmp_path / "nope"),

@@ -19,6 +19,7 @@ from ehrbench.gateway import (
     embed,
     missing_rate,
 )
+from test_cli import load_report, write_run_config
 
 
 class TestDecode:
@@ -178,6 +179,7 @@ class _Handler(BaseHTTPRequestHandler):
     script = []        # list of status codes; last one repeats
     requests_seen = []
     embed_body = None  # raw 200 body for /embeddings; None: a vector per input
+    chat_body = None   # raw 200 body for /chat/completions; None: "0.77"
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -193,7 +195,7 @@ class _Handler(BaseHTTPRequestHandler):
                 {"data": [{"embedding": [0.1, 0.2]}
                           for _ in body["input"]]}).encode()
         else:
-            blob = json.dumps(
+            blob = self.chat_body or json.dumps(
                 {"choices": [{"message": {"content": "0.77"}}]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -215,6 +217,7 @@ def http_endpoint():
     _Handler.requests_seen = []
     _Handler.script = [200]
     _Handler.embed_body = None
+    _Handler.chat_body = None
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
 
@@ -269,6 +272,58 @@ class TestHttpWireFormat:
         path, _, body = _Handler.requests_seen[0]
         assert path == "/embeddings"
         assert body == {"model": "emb", "input": ["a", "b"]}
+
+
+@pytest.mark.parametrize("status", [400, 404])
+def test_client_error_status_not_retried(http_endpoint, tmp_path, capsys,
+                                         status):
+    """A 4xx other than 401/403/429 is a GatewayError after one request,
+    and eval-sentences exits 2 on it."""
+    _Handler.script = [status]
+    cfg = EndpointConfig(base_url=http_endpoint, model_name="m1",
+                         max_retries=3, backoff_base=0.0)
+    with pytest.raises(errors.GatewayError, match=f"HTTP {status}") as exc:
+        complete("x", cfg)
+    assert not isinstance(exc.value, (errors.AuthFailure, errors.RateLimited,
+                                      errors.EndpointUnreachable))
+    assert len(_Handler.requests_seen) == 1
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a\tb\t1.0\n")
+    assert main(["eval-sentences", "--pairs", str(pairs),
+                 "--base-url", http_endpoint, "--model", "emb",
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert len(_Handler.requests_seen) == 2
+
+
+# 200 chat bodies without a string choices[0].message.content
+BAD_CHAT_BODIES = {
+    "null_content": b'{"choices": [{"message": {"content": null}}]}',
+    "no_choices": b'{"object": "chat.completion"}',
+}
+
+
+@pytest.mark.parametrize("name", BAD_CHAT_BODIES)
+def test_malformed_chat_response(http_endpoint, tmp_path, name):
+    """complete raises; predict writes every sample as a missing error."""
+    _Handler.chat_body = BAD_CHAT_BODIES[name]
+    cfg = EndpointConfig(base_url=http_endpoint, model_name="m1")
+    with pytest.raises(errors.GatewayError,
+                       match=r"choices\[0\]\.message\.content"):
+        complete("x", cfg)
+    config_path, _ = write_run_config(
+        tmp_path, endpoint_overrides={"base_url": http_endpoint})
+    assert main(["predict", "--config", str(config_path),
+                 "--max-error-frac", "1"]) == 0
+    report = load_report(tmp_path)
+    n_test = report["missing_rate"]["n_test"]
+    assert n_test > 0
+    assert report["n_errors"] == n_test
+    assert report["status_counts"] == {"missing": n_test}
+    with open(tmp_path / "out" / "transcript.jsonl") as fh:
+        lines = [json.loads(line) for line in fh]
+    assert len(lines) == n_test
+    assert all("message.content" in line["raw_text"] for line in lines)
 
 
 # 200 bodies for a two-text embeddings request that are not two embeddings
