@@ -481,14 +481,14 @@ def cmd_report_merge(args):
 
 
 def _ks(text):
-    """``--ks``: comma-separated integers >= 1."""
+    """``--ks``: comma-separated distinct integers >= 1."""
     try:
         ks = tuple(int(k) for k in text.split(","))
     except ValueError:
         ks = ()
-    if not ks or min(ks) < 1:
+    if not ks or min(ks) < 1 or len(set(ks)) < len(ks):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers >= 1, got {text!r}")
+            f"expected comma-separated distinct integers >= 1, got {text!r}")
     return ks
 
 
@@ -533,7 +533,7 @@ def build_parser():
     p.add_argument("--base-url", default=gateway.STUB_BASE_URL)
     p.add_argument("--model", default="hash-embed-64")
     p.add_argument("--ks", type=_ks, default="10,20,30,40,50",
-                   help="comma-separated cluster counts, each >= 1")
+                   help="comma-separated distinct cluster counts, each >= 1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_eval_icd)
@@ -550,10 +550,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EhrBenchError as exc:
+    except (OSError, EhrBenchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
 from .errors import (
     AuthFailure,
@@ -129,6 +128,8 @@ def _post_with_retries(url, payload, cfg, sample_id=None):
     Any other status, and a 2xx body that is not JSON, raise
     ``GatewayError`` at once.
     """
+    import requests  # here, so that commands that never send skip its import
+
     headers = {"Content-Type": "application/json"}
     if cfg.api_key:
         headers["Authorization"] = f"Bearer {cfg.api_key}"
@@ -208,21 +209,17 @@ def complete_batch(prompts_by_id, cfg):
         return dict(pool.map(run, prompts_by_id.items()))
 
 
-def _stub_embed(texts, model_name):
-    dim = int(model_name[len("hash-embed-"):])
-    rows = []
+def _stub_embed(texts, dim):
+    n_blocks = -(-dim // 4)  # a sha256 block holds four 64-bit words
+    blocks = []
     for text in texts:
         digest = hashlib.sha256(text.encode("utf-8")).digest()
-        # expand deterministically to dim floats in [-1, 1]
-        vals = []
-        counter = 0
-        while len(vals) < dim:
-            block = hashlib.sha256(digest + counter.to_bytes(4, "big")).digest()
-            for i in range(0, len(block) - 7, 8):
-                vals.append(int.from_bytes(block[i:i + 8], "big") / 2**63 - 1.0)
-            counter += 1
-        rows.append(vals[:dim])
-    return np.asarray(rows, dtype=float)
+        blocks.extend(hashlib.sha256(digest + counter.to_bytes(4, "big"))
+                      .digest() for counter in range(n_blocks))
+    words = np.frombuffer(b"".join(blocks), ">u8")
+    # expand deterministically to dim floats in [-1, 1]; dividing by 2**63
+    # is exact scaling, so each value is the correctly rounded word's
+    return words.reshape(len(texts), 4 * n_blocks)[:, :dim] / 2**63 - 1.0
 
 
 def vector_error(value, dim=None):
@@ -249,11 +246,12 @@ def embed(texts, cfg):
     if not texts:
         raise EmptyInput("no texts to embed")
     if cfg.is_stub:
-        if not cfg.model_name.startswith("hash-embed-"):
+        dim = cfg.model_name.removeprefix("hash-embed-")
+        if dim == cfg.model_name or not dim.isdecimal() or int(dim) < 1:
             raise InvariantViolation(
-                f"stub embedder must be hash-embed-<dim>, got {cfg.model_name!r}"
-            )
-        return _stub_embed(texts, cfg.model_name)
+                "stub embedder must be hash-embed-<dim> with dim >= 1, "
+                f"got {cfg.model_name!r}")
+        return _stub_embed(texts, int(dim))
     payload = {"model": cfg.model_name, "input": list(texts)}
     body = _post_with_retries(
         cfg.base_url.rstrip("/") + "/embeddings", payload, cfg

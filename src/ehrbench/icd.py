@@ -179,6 +179,40 @@ _MAX_ITER = 100
 _TOL = 1e-6  # stop once no centroid moves this far
 
 
+def _nearest_centroid(points, sq, centroids):
+    """Index of each point's nearest centroid, as the argmin of the direct
+    distances ``((x - c) ** 2).sum(-1)`` gives it, ties included.
+
+    The distances are expanded as |x|^2 - 2 x.c + |c|^2, an n x k matrix
+    from one matrix product; rows whose best two values lie within the
+    rounding bound below are recomputed in the direct form.
+
+    Bound: let u = eps / 2 and R = |x| + max |c|, so |x - c|^2 <= R^2. The
+    direct form (d differences squared, then summed) errs by at most about
+    (d + 2) u R^2. In the expansion, |x|^2, 2 x.c and |c|^2 err by at most
+    d u |x|^2, 2 d u |x||c| and d u |c|^2, and its two additions by about
+    u R^2 each: again (d + 2) u R^2 in all. A row whose computed gap
+    between its best two values exceeds twice the sum of both errors,
+    2 (d + 2) eps R^2, has the same unique argmin in both forms. The
+    tolerance 8 (d + 3) eps R^2 leaves a factor of four for higher-order
+    terms and the rounding of R itself.
+    """
+    d = points.shape[1]
+    csq = (centroids ** 2).sum(axis=1)
+    dist2 = sq[:, None] - 2.0 * (points @ centroids.T) + csq
+    labels = dist2.argmin(axis=1)
+    if len(centroids) > 1:
+        best2 = np.partition(dist2, 1, axis=1)
+        radius = np.sqrt(sq) + np.sqrt(csq.max())
+        tol = 8 * (d + 3) * np.finfo(float).eps * radius ** 2
+        near = np.flatnonzero(best2[:, 1] - best2[:, 0] <= tol)
+        if len(near):
+            direct = ((points[near, None, :] - centroids[None, :, :]) ** 2
+                      ).sum(axis=2)
+            labels[near] = direct.argmin(axis=1)
+    return labels
+
+
 def kmeans(embeddings, k, seed):
     """Lloyd iterations from a seeded k-means++ start.
 
@@ -191,16 +225,18 @@ def kmeans(embeddings, k, seed):
         raise TooFewItems(f"{n} items for k={k}")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, k, rng)
+    sq = (points ** 2).sum(axis=1)
     for iterations in range(1, _MAX_ITER + 1):
-        dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels = dist2.argmin(axis=1)
+        labels = _nearest_centroid(points, sq, centroids)
         new_centroids = centroids.copy()
         for c in range(k):
             members = points[labels == c]
             if len(members):
                 new_centroids[c] = members.mean(axis=0)
             else:
-                farthest = int(dist2[np.arange(n), labels].argmax())
+                # distance to the assigned centroid, as the labels stand
+                own = ((points - centroids[labels]) ** 2).sum(axis=1)
+                farthest = int(own.argmax())
                 new_centroids[c] = points[farthest]
                 labels[farthest] = c
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())

@@ -408,7 +408,7 @@ class TestEvalIcd:
             rows = list(csv.reader(fh))
         assert [r[0] for r in rows] == ["k", "2", "3", "4", "mean"]
 
-    @pytest.mark.parametrize("ks", ["3,x", "", "0", "-2", "2,,3"])
+    @pytest.mark.parametrize("ks", ["3,x", "", "0", "-2", "2,,3", "3,3,2"])
     def test_bad_ks_exits_2(self, tmp_path, capsys, ks):
         with pytest.raises(SystemExit) as exc:
             main(["eval-icd", "--order-file", self.ORDER, "--ks", ks,
@@ -421,6 +421,17 @@ class TestEvalIcd:
         assert main(["eval-icd", "--order-file", str(tmp_path / "nope"),
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_order_file_is_a_directory(self, tmp_path, capsys):
+        assert main(["eval-icd", "--order-file", FIXTURES,
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_output_dir_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "out").write_text("")
+        assert main(["eval-icd", "--order-file", self.ORDER, "--ks", "2",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestReportMerge:
@@ -452,3 +463,25 @@ def test_stub_benchmark_script(tmp_path):
     with open(tmp_path / "merged" / "merged.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["label"] for r in rows] == ["base", "best"]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["eval-icd", "--order-file", os.path.join(FIXTURES, "sibling_codes.order"),
+     "--ks", "2", "--model", "hash-embed-8"],
+], ids=["import", "eval-icd"])
+def test_offline_commands_skip_requests_import(tmp_path, argv):
+    """Only a command that sends over HTTP imports ``requests``."""
+    import ehrbench
+
+    if argv:
+        argv = [*argv, "--output-dir", str(tmp_path / "out")]
+    code = ("import sys, ehrbench.cli\n"
+            "if sys.argv[1:]:\n"
+            "    assert ehrbench.cli.main(sys.argv[1:]) == 0\n"
+            "print('requests' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(ehrbench.__file__)))
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "False"

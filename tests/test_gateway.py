@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -13,6 +14,7 @@ from ehrbench.gateway import (
     EndpointConfig,
     MissingRateReport,
     PredictionOutcome,
+    _stub_embed,
     complete,
     complete_batch,
     decode_probability,
@@ -160,6 +162,34 @@ class TestStubs:
     def test_embed_requires_embedding_stub(self):
         with pytest.raises(errors.InvariantViolation):
             embed(["x"], EndpointConfig(model_name="echo-0.5"))
+
+    @pytest.mark.parametrize("model", ["hash-embed-0", "hash-embed--5",
+                                       "hash-embed-x", "hash-embed-"])
+    def test_embed_rejects_bad_stub_dim(self, model):
+        with pytest.raises(errors.InvariantViolation):
+            embed(["x"], EndpointConfig(model_name=model))
+
+    @pytest.mark.parametrize("dim", [1, 3, 5, 255, 256])
+    def test_stub_embed_equals_per_value_loop(self, dim):
+        texts = ["alpha", "", "Fièvre typhoïde, 伤寒", "alpha", "x" * 500]
+        got = _stub_embed(texts, dim)
+        want = np.array([per_value_stub_embedding(t, dim) for t in texts])
+        assert got.shape == (len(texts), dim)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def per_value_stub_embedding(text, dim):
+    """``hash-embed-<dim>`` of one text, one Python float at a time: the
+    reference the vectorised stub embedder must equal bit for bit."""
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    vals = []
+    counter = 0
+    while len(vals) < dim:
+        block = hashlib.sha256(digest + counter.to_bytes(4, "big")).digest()
+        for i in range(0, len(block) - 7, 8):
+            vals.append(int.from_bytes(block[i:i + 8], "big") / 2**63 - 1.0)
+        counter += 1
+    return vals[:dim]
 
 
 def test_endpoint_defaults():

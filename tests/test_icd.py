@@ -7,8 +7,11 @@ import pytest
 
 from ehrbench import errors
 from ehrbench.icd import (
+    _MAX_ITER,
+    _TOL,
     ROOT,
     IcdTree,
+    _kmeans_pp_init,
     avg_code_distance,
     build_tree,
     filter_broad_codes,
@@ -203,6 +206,83 @@ class TestKmeans:
         assignment = kmeans(points, k=6, seed=9)
         assert all(0 <= c < 6 for c in assignment.labels)
         assert len(assignment.labels) == 40
+
+
+def direct_kmeans(embeddings, k, seed):
+    """k-means over the full n x k x d difference tensor, as ``kmeans`` was
+    first written: the reference its labels, centroids and iteration count
+    must equal. Also returns how many empty clusters were reseeded."""
+    points = np.asarray(embeddings, dtype=float)
+    n = len(points)
+    centroids = _kmeans_pp_init(points, k, np.random.default_rng(seed))
+    reseeds = 0
+    for iterations in range(1, _MAX_ITER + 1):
+        dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels = dist2.argmin(axis=1)
+        new_centroids = centroids.copy()
+        for c in range(k):
+            members = points[labels == c]
+            if len(members):
+                new_centroids[c] = members.mean(axis=0)
+            else:
+                reseeds += 1
+                farthest = int(dist2[np.arange(n), labels].argmax())
+                new_centroids[c] = points[farthest]
+                labels[farthest] = c
+        shift = float(np.sqrt(((new_centroids - centroids) ** 2)
+                              .sum(axis=1)).max())
+        centroids = new_centroids
+        if shift < _TOL:
+            break
+    return (tuple(int(x) for x in labels), tuple(map(tuple, centroids)),
+            iterations, reseeds)
+
+
+def assert_matches_direct(points, k, seed):
+    """``kmeans`` equals ``direct_kmeans``; returns the reseed count."""
+    labels, centroids, iterations, reseeds = direct_kmeans(points, k, seed)
+    got = kmeans(points, k, seed)
+    assert got.labels == labels
+    assert got.centroids == centroids
+    assert got.iterations_run == iterations
+    return reseeds
+
+
+class TestKmeansEqualsDirectForm:
+    """The matrix-product distances give the direct form's labels bit for
+    bit, ties included."""
+
+    def test_gaussian(self, rng):
+        for i in range(20):
+            n, d = int(rng.integers(10, 60)), int(rng.integers(1, 40))
+            k = int(rng.integers(2, 9))
+            assert_matches_direct(rng.normal(size=(n, d)), k, [i, k])
+
+    @pytest.mark.parametrize("values, d, scale", [
+        ((0, 1, 2), 4, 1.0), ((-1, 0, 1), 2, 0.1)])
+    def test_integer_grids(self, rng, values, d, scale):
+        for i in range(30):
+            n, k = int(rng.integers(8, 50)), int(rng.integers(2, 8))
+            points = rng.choice(values, size=(n, d)) * scale
+            assert_matches_direct(points, k, [i, k])
+
+    def test_repeated_points_reseed_empty_clusters(self, rng):
+        reseeds = 0
+        for i in range(20):
+            distinct = rng.normal(size=(int(rng.integers(2, 5)), 3))
+            points = distinct[rng.integers(0, len(distinct), size=30)]
+            k = len(distinct) + int(rng.integers(1, 4))
+            reseeds += assert_matches_direct(points, k, [i, k])
+        assert reseeds > 0
+
+    def test_single_cluster(self, rng):
+        for i in range(5):
+            assert_matches_direct(rng.normal(size=(20, 6)), 1, i)
+
+    def test_values_near_1e3(self, rng):
+        for i in range(10):
+            points = 1e3 + rng.normal(size=(40, 8))
+            assert_matches_direct(points, int(rng.integers(2, 8)), i)
 
 
 class TestAvgCodeDistance:
