@@ -467,11 +467,32 @@ def cmd_eval_icd(args):
     return 0
 
 
+def _load_report(path):
+    """A predict ``report.json``; each part ``_report_row`` reads must be a
+    JSON object."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            report = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"report {path} is not valid JSON: {exc}") \
+                from None
+    parts = {"report": report}
+    if isinstance(report, dict):
+        parts["missing_rate"] = report.get("missing_rate", {})
+        parts["metrics"] = scores = report.get("metrics", {})
+        if isinstance(scores, dict):
+            parts.update((f"metrics.{name}", scores.get(name, {}))
+                         for name in ("auroc", "auprc"))
+    for where, value in parts.items():
+        if not isinstance(value, dict):
+            raise InvariantViolation(
+                f"report {path}: {where} must be a JSON object, "
+                f"got {type(value).__name__}")
+    return report
+
+
 def cmd_report_merge(args):
-    merged = []
-    for path in args.reports:
-        with open(path, encoding="utf-8") as fh:
-            merged.append(json.load(fh))
+    merged = [_load_report(path) for path in args.reports]
     os.makedirs(args.output_dir, exist_ok=True)
     _write_json(os.path.join(args.output_dir, "merged.json"), merged)
     _write_csv(os.path.join(args.output_dir, "merged.csv"), REPORT_COLUMNS,

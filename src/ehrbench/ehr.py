@@ -143,7 +143,12 @@ class Cohort:
         object.__setattr__(self, "records", tuple(self.records))
         if self.task not in TASKS:
             raise InvariantViolation(f"task {self.task!r} not in {TASKS}")
+        seen = set()
         for rec in self.records:
+            if rec.patient_id in seen:
+                raise InvariantViolation(
+                    f"duplicate patient_id {rec.patient_id!r}")
+            seen.add(rec.patient_id)
             for fid in rec.features:
                 if fid not in self.catalog:
                     raise InvariantViolation(
@@ -187,34 +192,41 @@ COHORT_CSV_HEADER = ["patient_id", "visit_time", "feature_id", "value"]
 LABELS_CSV_HEADER = ["patient_id", "task", "label"]
 
 
+def _read_csv(path, header, what):
+    """Yield (line number, row) for every non-blank row of a CSV file whose
+    first row is ``header``; a row of another width raises ``ParseError``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise SchemaMismatch(f"{what} header {found} != {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} cells, got {len(row)}",
+                                 line=lineno)
+            yield lineno, row
+
+
 def load_catalog(path):
     """Read a feature catalog CSV.
 
     Empty unit/range cells mean absent; a literal "/" is an explicit none and
     is rendered verbatim downstream.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CATALOG_HEADER:
-            raise SchemaMismatch(f"catalog header {header} != {CATALOG_HEADER}")
-        entries = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CATALOG_HEADER):
-                raise ParseError(f"expected {len(CATALOG_HEADER)} cells, got {len(row)}", line=lineno)
-            fid, name, unit, rng, kind = row
-            entries.append(
-                FeatureCatalogEntry(
-                    feature_id=fid,
-                    display_name=name,
-                    unit=unit if unit != "" else None,
-                    reference_range=rng if rng != "" else None,
-                    kind=kind,
-                )
-            )
-    return FeatureCatalog(entries)
+    return FeatureCatalog(
+        FeatureCatalogEntry(
+            feature_id=fid,
+            display_name=name,
+            unit=unit if unit != "" else None,
+            reference_range=rng if rng != "" else None,
+            kind=kind,
+        )
+        for _, (fid, name, unit, rng, kind)
+        in _read_csv(path, CATALOG_HEADER, "catalog")
+    )
 
 
 def _parse_visit_time(token, lineno):
@@ -256,45 +268,26 @@ def _parse_label(token, where):
 
 
 def _load_labels(path, task):
-    labels = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LABELS_CSV_HEADER:
-            raise SchemaMismatch(f"labels header {header} != {LABELS_CSV_HEADER}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 cells, got {len(row)}", line=lineno)
-            pid, row_task, label = row
-            if row_task != task:
-                continue
-            labels[pid] = _parse_label(label, f"labels line {lineno}")
-    return labels
+    return {
+        pid: _parse_label(label, f"labels line {lineno}")
+        for lineno, (pid, row_task, label)
+        in _read_csv(path, LABELS_CSV_HEADER, "labels")
+        if row_task == task
+    }
 
 
 def _load_long_csv(path, catalog, task, labels_path):
     labels = _load_labels(labels_path, task) if labels_path else {}
     # patient -> visit_time -> feature -> value, preserving first-seen order
     per_patient = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != COHORT_CSV_HEADER:
-            raise SchemaMismatch(f"cohort header {header} != {COHORT_CSV_HEADER}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 cells, got {len(row)}", line=lineno)
-            pid, vt, fid, value = row
-            if fid not in catalog:
-                raise InvariantViolation(f"line {lineno}: feature {fid} not in catalog")
-            t = _parse_visit_time(vt, lineno)
-            cell = _parse_value(value, catalog[fid].kind, lineno)
-            visits = per_patient.setdefault(pid, {})
-            visits.setdefault(t, {})[fid] = cell
+    for lineno, (pid, vt, fid, value) in _read_csv(path, COHORT_CSV_HEADER,
+                                                   "cohort"):
+        if fid not in catalog:
+            raise InvariantViolation(f"line {lineno}: feature {fid} not in catalog")
+        t = _parse_visit_time(vt, lineno)
+        cell = _parse_value(value, catalog[fid].kind, lineno)
+        visits = per_patient.setdefault(pid, {})
+        visits.setdefault(t, {})[fid] = cell
     records = []
     for pid, visits in per_patient.items():
         times = sorted(visits, key=lambda t: (date.fromisoformat(t) if isinstance(t, str) else t))
@@ -334,41 +327,62 @@ def read_jsonl(path):
             yield lineno, obj
 
 
+# the JSON types a value may have; a bool is not a number here
+_JSON_NUMBER = frozenset((int, float))
+_JSON_NUMERIC_CELL = _JSON_NUMBER | {type(None)}
+
+
+def _record_json_error(obj, numeric_ids):
+    """Why a JSONL cohort object does not hold one record's fields with the
+    JSON types they need, or None. ``numeric_ids``: the catalog's numeric
+    features."""
+    if type(obj["age"]) not in _JSON_NUMBER:
+        return '"age" must be a number'
+    times = obj["visit_times"]
+    if type(times) is not list or not (
+            _JSON_NUMBER.issuperset(map(type, times))
+            or all(type(t) is str for t in times)):
+        return '"visit_times" must be a list of numbers or of ISO dates'
+    if not isinstance(obj.get("labels", {}), dict):
+        return '"labels" must be an object'
+    if not isinstance(obj["features"], dict):
+        return '"features" must be an object'
+    for fid, series in obj["features"].items():
+        if type(series) is not list:
+            return f"feature {fid} must be a list"
+        if fid in numeric_ids and not _JSON_NUMERIC_CELL.issuperset(
+                map(type, series)):
+            return f"numeric feature {fid} must hold numbers or null"
+    return None
+
+
 def _load_jsonl(path, catalog, task):
+    numeric_ids = {e.feature_id for e in catalog if e.kind == "numeric"}
     records = []
     for lineno, obj in read_jsonl(path):
         required = {"patient_id", "sex", "age", "visit_times", "features"}
         missing = required - obj.keys()
         if missing:
             raise SchemaMismatch(f"line {lineno}: missing fields {sorted(missing)}")
+        problem = _record_json_error(obj, numeric_ids)
+        if problem:
+            raise ParseError(problem, line=lineno)
         label = obj.get("label")
         if label is None and "labels" in obj:
             label = obj["labels"].get(task)
         if label is not None:
             label = _parse_label(label, f"record {obj['patient_id']}")
-        times = tuple(
-            t if isinstance(t, str) else _coerce_number(t)
-            for t in obj["visit_times"]
-        )
         records.append(
             PatientRecord(
                 patient_id=str(obj["patient_id"]),
                 sex=obj["sex"],
                 age=float(obj["age"]),
-                visit_times=times,
+                visit_times=tuple(obj["visit_times"]),
                 features=obj["features"],
                 label=label,
             )
         )
     return records
-
-
-def _coerce_number(t):
-    if isinstance(t, bool):
-        raise InvariantViolation(f"boolean visit_time {t!r}")
-    if isinstance(t, int):
-        return t
-    return float(t)
 
 
 def is_long_csv(path):

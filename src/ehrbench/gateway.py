@@ -15,11 +15,13 @@ embeddings shape (``data[i].embedding``); see README for request examples.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -56,6 +58,17 @@ class EndpointConfig:
                 raise InvariantViolation(f"endpoint.{key} must be >= {least}")
         if not self.timeout > 0:
             raise InvariantViolation("endpoint.timeout must be > 0")
+        if not self.is_stub:
+            try:
+                url = urlsplit(self.base_url)
+                valid = (url.scheme in ("http", "https") and url.hostname
+                         and url.port != 0)
+            except ValueError:  # a bad IPv6 host, or a port not in 0-65535
+                valid = False
+            if not valid:
+                raise InvariantViolation(
+                    'endpoint.base_url must be "stub" or an http:// or '
+                    f"https:// URL with a host, got {self.base_url!r}")
 
     @property
     def is_stub(self):
@@ -120,43 +133,42 @@ def _stub_complete(prompt_text, model_name):
     raise InvariantViolation(f"unknown stub model {model_name!r}")
 
 
-def _post_with_retries(url, payload, cfg, sample_id=None):
-    """POST ``payload`` and return the JSON body of a 2xx answer.
+def _post_with_retries(cfg, path, payload, sample_id=None):
+    """POST ``payload`` to ``cfg.base_url + path``; return a 2xx JSON body.
 
-    401/403 raise ``AuthFailure`` at once. 429, 5xx and connection errors
-    are retried up to ``cfg.max_retries`` times with exponential backoff.
-    Any other status, and a 2xx body that is not JSON, raise
-    ``GatewayError`` at once.
+    401/403 raise ``AuthFailure``. 429, 5xx, connection errors and timeouts
+    are retried ``cfg.max_retries`` times with exponential backoff. Any
+    other status, and a 2xx body that is not JSON, raise ``GatewayError``.
     """
-    import requests  # here, so that commands that never send skip its import
+    # urllib.request adds about 58 ms to a start; only sending needs it
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen
 
     headers = {"Content-Type": "application/json"}
     if cfg.api_key:
         headers["Authorization"] = f"Bearer {cfg.api_key}"
-    last_error = None
+    request = Request(cfg.base_url.rstrip("/") + path,
+                      data=json.dumps(payload).encode(), headers=headers)
     for attempt in range(cfg.max_retries + 1):
         try:
-            resp = requests.post(url, json=payload, headers=headers,
-                                 timeout=cfg.timeout)
-        except requests.RequestException as exc:
+            with urlopen(request, timeout=cfg.timeout) as resp:
+                body = resp.read()
+        except HTTPError as exc:  # every status but 2xx
+            exc.close()
+            if exc.code != 429 and exc.code < 500:
+                error = AuthFailure if exc.code in (401, 403) else GatewayError
+                raise error(f"HTTP {exc.code}", sample_id=sample_id)
+            error = RateLimited if exc.code == 429 else EndpointUnreachable
+            last_error = error(f"HTTP {exc.code}", sample_id=sample_id)
+        except (OSError, HTTPException) as exc:  # HTTPError is an OSError
             last_error = EndpointUnreachable(str(exc), sample_id=sample_id)
         else:
-            status = resp.status_code
-            if 200 <= status < 300:
-                try:
-                    return resp.json()
-                except ValueError:
-                    raise GatewayError(f"HTTP {status} body is not JSON",
-                                       sample_id=sample_id) from None
-            if status in (401, 403):
-                raise AuthFailure(f"HTTP {status}", sample_id=sample_id)
-            if status == 429:
-                last_error = RateLimited("HTTP 429", sample_id=sample_id)
-            elif status >= 500:
-                last_error = EndpointUnreachable(f"HTTP {status}",
-                                                 sample_id=sample_id)
-            else:
-                raise GatewayError(f"HTTP {status}", sample_id=sample_id)
+            try:
+                return json.loads(body)
+            except ValueError:
+                raise GatewayError(f"HTTP {resp.status} body is not JSON",
+                                   sample_id=sample_id) from None
         if attempt < cfg.max_retries:
             time.sleep(cfg.backoff_base * 2**attempt)
     raise last_error
@@ -178,10 +190,8 @@ def complete(prompt, cfg, sample_id=None):
         "top_k": cfg.top_k,
         "max_tokens": cfg.max_new_tokens,
     }
-    body = _post_with_retries(
-        cfg.base_url.rstrip("/") + "/chat/completions", payload, cfg,
-        sample_id=sample_id,
-    )
+    body = _post_with_retries(cfg, "/chat/completions", payload,
+                              sample_id=sample_id)
     try:
         content = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError):
@@ -253,9 +263,7 @@ def embed(texts, cfg):
                 f"got {cfg.model_name!r}")
         return _stub_embed(texts, int(dim))
     payload = {"model": cfg.model_name, "input": list(texts)}
-    body = _post_with_retries(
-        cfg.base_url.rstrip("/") + "/embeddings", payload, cfg
-    )
+    body = _post_with_retries(cfg, "/embeddings", payload)
     try:
         vectors = [item["embedding"] for item in body["data"]]
     except (KeyError, TypeError):

@@ -185,6 +185,9 @@ BAD_CONFIGS = [
     # values print with two decimals; this is no longer a setting
     ("prompt.value_decimals",
      lambda c: c["prompt"].update(value_decimals=2)),
+    # no scheme: every request would fail and be retried
+    ("endpoint.base_url",
+     lambda c: c["endpoint"].update(base_url="localhost:9")),
 ]
 
 
@@ -209,6 +212,42 @@ class TestConfigValidation:
         config_path.write_text('{"data": ')
         assert main(["predict", "--config", str(config_path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+
+# edit of a JSONL cohort's records -> what the error must name
+BAD_RECORDS = {
+    "features_not_object":
+        (lambda rs: rs[2].update(features=[80.0]), "line 3"),
+    "series_not_list":
+        (lambda rs: rs[2]["features"].update(hr=80.0), "line 3"),
+    "age_not_number": (lambda rs: rs[2].update(age="old"), "line 3"),
+    "visit_time_null":
+        (lambda rs: rs[2]["visit_times"].__setitem__(0, None), "line 3"),
+    "visit_times_mixed":
+        (lambda rs: rs[2]["visit_times"].__setitem__(0, "2020-01-01"),
+         "line 3"),
+    "labels_not_object":
+        (lambda rs: rs[2].update(label=None, labels=1), "line 3"),
+    "numeric_value_string":
+        (lambda rs: rs[2]["features"]["hr"].__setitem__(0, "80"), "line 3"),
+    # keyed by id, the test split would shrink to one sample
+    "duplicate_patient_id":
+        (lambda rs: [r.update(patient_id="same") for r in rs], "'same'"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_RECORDS)
+def test_malformed_cohort_record_exits_2(tmp_path, capsys, name):
+    edit, fragment = BAD_RECORDS[name]
+    config_path, _ = write_run_config(tmp_path)
+    cohort = tmp_path / "cohort.jsonl"
+    records = [json.loads(line) for line in cohort.read_text().splitlines()]
+    edit(records)
+    cohort.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["predict", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestPromptPreview:
@@ -427,6 +466,13 @@ class TestEvalIcd:
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_base_url_without_scheme(self, tmp_path, capsys):
+        assert main(["eval-icd", "--order-file", self.ORDER, "--ks", "2",
+                     "--base-url", "localhost:9", "--model", "emb",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert "endpoint.base_url" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_output_dir_is_a_file(self, tmp_path, capsys):
         (tmp_path / "out").write_text("")
         assert main(["eval-icd", "--order-file", self.ORDER, "--ks", "2",
@@ -454,6 +500,28 @@ class TestReportMerge:
         assert {m["label"] for m in merged} == {"base", "ours"}
 
 
+# report.json text -> what the error must name
+BAD_REPORTS = {
+    "not_json": ('{"label": "a",\n "metrics": }', "line 2"),
+    "list": ("[]", "report must be a JSON object"),
+    "missing_rate_list": ('{"missing_rate": []}', "missing_rate must"),
+    "metrics_number": ('{"metrics": 3}', "metrics must"),
+    "auroc_number": ('{"metrics": {"auroc": 0.5}}', "metrics.auroc must"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_REPORTS)
+def test_report_merge_malformed_report_exits_2(tmp_path, capsys, name):
+    text, fragment = BAD_REPORTS[name]
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["report-merge", str(path),
+                 "--output-dir", str(tmp_path / "merged")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert not (tmp_path / "merged").exists()
+
+
 def test_stub_benchmark_script(tmp_path):
     """The README quick start runs end to end under strict config keys."""
     subprocess.run(
@@ -471,7 +539,7 @@ def test_stub_benchmark_script(tmp_path):
      "--ks", "2", "--model", "hash-embed-8"],
 ], ids=["import", "eval-icd"])
 def test_offline_commands_skip_requests_import(tmp_path, argv):
-    """Only a command that sends over HTTP imports ``requests``."""
+    """Only a command that sends over HTTP imports an HTTP client."""
     import ehrbench
 
     if argv:
@@ -479,9 +547,10 @@ def test_offline_commands_skip_requests_import(tmp_path, argv):
     code = ("import sys, ehrbench.cli\n"
             "if sys.argv[1:]:\n"
             "    assert ehrbench.cli.main(sys.argv[1:]) == 0\n"
-            "print('requests' in sys.modules)\n")
+            "print(sorted({'requests', 'urllib.request', 'http.client'}\n"
+            "             & set(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(ehrbench.__file__)))
     out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                          check=True, capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "False"
+    assert out.splitlines()[-1] == "[]"

@@ -124,6 +124,38 @@ class TestCohortLoading:
         assert p1.label == 1
         assert cohort.get("p2").label == 0
 
+    @pytest.mark.parametrize("which, header", [
+        ("catalog", "feature_id,display_name,unit,reference_range,kind"),
+        ("labels", "patient_id,task,label"),
+        ("cohort", "patient_id,visit_time,feature_id,value"),
+    ])
+    def test_csv_header_and_row_width(self, tmp_path, which, header):
+        """Each CSV loader names its file in a header mismatch, and numbers
+        rows from 2 over blank rows when one has the wrong width."""
+        cat = tmp_path / "cat.csv"
+        cat.write_text("feature_id,display_name,unit,reference_range,kind\n"
+                       "hr,Heart Rate,,,numeric\n")
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("patient_id,visit_time,feature_id,value\n"
+                          "p1,0,hr,80\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("patient_id,task,label\np1,mortality,1\n")
+        target = {"catalog": cat, "labels": labels, "cohort": cohort}[which]
+
+        def load():
+            load_cohort(cohort, load_catalog(cat), "mortality",
+                        labels_path=labels)
+
+        target.write_text(header.replace(",", ";") + "\n")
+        with pytest.raises(errors.SchemaMismatch, match=f"^{which} header"):
+            load()
+        n_cells = header.count(",") + 1
+        target.write_text(f"{header}\n\n{'x,' * n_cells}x\n")
+        with pytest.raises(errors.ParseError,
+                           match=f"^line 3: expected {n_cells} cells, "
+                                 f"got {n_cells + 1}$"):
+            load()
+
     def test_unknown_feature_rejected(self, tmp_path):
         cat = tmp_path / "cat.csv"
         cat.write_text("feature_id,display_name,unit,reference_range,kind\n"

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -203,21 +205,55 @@ def test_endpoint_defaults():
         EndpointConfig(temperature=-1.0)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Scripted chat-completions/embeddings endpoint for wire-format tests."""
+@pytest.mark.parametrize("url", ["localhost:9", "127.0.0.1", "http://",
+                                 "http:///v1", "ftp://host/v1", "http://h:x",
+                                 "http://h:99999", "http://[::1", ""])
+def test_base_url_must_be_http_url_with_host(url):
+    with pytest.raises(errors.InvariantViolation, match="endpoint.base_url"):
+        EndpointConfig(base_url=url)
 
-    script = []        # list of status codes; last one repeats
-    requests_seen = []
+
+@pytest.mark.parametrize("url", ["stub", "http://localhost:8000/v1",
+                                 "https://api.example.com/v1",
+                                 "http://[::1]:8080"])
+def test_base_url_accepted(url):
+    assert EndpointConfig(base_url=url).base_url == url
+
+
+SLOW_S = 0.3  # how long a "slow" answer holds its body back
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Scripted chat-completions/embeddings endpoint for wire-format tests.
+
+    A script entry is a status code or a fault: "drop" closes the
+    connection before any response, "slow" holds a 200 body back for
+    ``SLOW_S`` after its headers, "short" sends a 200 body shorter than its
+    Content-Length. A 301, 302 or 303 points to ``/moved``, where a GET
+    gets a 405.
+    """
+
+    script = []        # status codes or faults; last one repeats
+    requests_seen = []  # (path, headers, JSON body, or None for a GET)
     embed_body = None  # raw 200 body for /embeddings; None: a vector per input
     chat_body = None   # raw 200 body for /chat/completions; None: "0.77"
+
+    def do_GET(self):
+        type(self).requests_seen.append((self.path, dict(self.headers), None))
+        self.send_response(405)
+        self.end_headers()
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).requests_seen.append((self.path, dict(self.headers), body))
-        status = self.script[min(len(self.requests_seen) - 1,
+        answer = self.script[min(len(self.requests_seen) - 1,
                                  len(self.script) - 1)]
-        if status != 200:
-            self.send_response(status)
+        if answer == "drop":
+            return
+        if answer not in (200, "slow", "short"):
+            self.send_response(answer)
+            if answer in (301, 302, 303):
+                self.send_header("Location", "/moved")
             self.end_headers()
             return
         if self.path.endswith("/embeddings"):
@@ -231,7 +267,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
         self.end_headers()
-        self.wfile.write(blob)
+        if answer == "slow":
+            time.sleep(SLOW_S)
+        try:
+            self.wfile.write(blob[:-5] if answer == "short" else blob)
+        except OSError:  # a client that timed out has closed the socket
+            pass
 
     def log_message(self, *args):
         pass
@@ -295,6 +336,38 @@ class TestHttpWireFormat:
         with pytest.raises(errors.EndpointUnreachable):
             complete("x", cfg, sample_id="s1")
 
+    @pytest.mark.parametrize("answer, error, message, n_requests", [
+        ("drop", errors.EndpointUnreachable, None, 2),
+        ("short", errors.EndpointUnreachable, None, 2),
+        (307, errors.GatewayError, "HTTP 307", 1),  # no Location
+        (301, errors.GatewayError, "HTTP 405", 2),  # the GET to /moved
+        (302, errors.GatewayError, "HTTP 405", 2),
+        (303, errors.GatewayError, "HTTP 405", 2),
+        (403, errors.AuthFailure, "HTTP 403", 1),
+    ], ids=lambda v: str(v) if isinstance(v, (int, str)) else None)
+    def test_fault_maps_to_status(self, http_endpoint, answer, error,
+                                  message, n_requests):
+        """Each README endpoint-table row: the error class, and how many
+        requests reach the server with one retry allowed."""
+        _Handler.script = [answer]
+        cfg = EndpointConfig(base_url=http_endpoint, model_name="m1",
+                             max_retries=1, backoff_base=0.0, timeout=5)
+        with pytest.raises(error, match=message) as exc:
+            complete("x", cfg)
+        assert type(exc.value) is error
+        assert len(_Handler.requests_seen) == n_requests
+        if answer in (301, 302, 303):
+            path, _, body = _Handler.requests_seen[1]
+            assert (path, body) == ("/moved", None)
+
+    def test_slow_body_times_out(self, http_endpoint):
+        _Handler.script = ["slow"]
+        cfg = EndpointConfig(base_url=http_endpoint, model_name="m1",
+                             max_retries=0, timeout=SLOW_S / 3)
+        with pytest.raises(errors.EndpointUnreachable):
+            complete("x", cfg)
+        assert len(_Handler.requests_seen) == 1
+
     def test_embeddings_wire_format(self, http_endpoint):
         cfg = EndpointConfig(base_url=http_endpoint, model_name="emb")
         vecs = embed(["a", "b"], cfg)
@@ -326,20 +399,23 @@ def test_client_error_status_not_retried(http_endpoint, tmp_path, capsys,
     assert len(_Handler.requests_seen) == 2
 
 
-# 200 chat bodies without a string choices[0].message.content
+# 200 chat bodies that are not JSON or lack a string
+# choices[0].message.content -> the error each raises
 BAD_CHAT_BODIES = {
-    "null_content": b'{"choices": [{"message": {"content": null}}]}',
-    "no_choices": b'{"object": "chat.completion"}',
+    "not_json": (b"<html>ok</html>", "HTTP 200 body is not JSON"),
+    "null_content": (b'{"choices": [{"message": {"content": null}}]}',
+                     "choices[0].message.content"),
+    "no_choices": (b'{"object": "chat.completion"}',
+                   "choices[0].message.content"),
 }
 
 
 @pytest.mark.parametrize("name", BAD_CHAT_BODIES)
 def test_malformed_chat_response(http_endpoint, tmp_path, name):
     """complete raises; predict writes every sample as a missing error."""
-    _Handler.chat_body = BAD_CHAT_BODIES[name]
+    _Handler.chat_body, message = BAD_CHAT_BODIES[name]
     cfg = EndpointConfig(base_url=http_endpoint, model_name="m1")
-    with pytest.raises(errors.GatewayError,
-                       match=r"choices\[0\]\.message\.content"):
+    with pytest.raises(errors.GatewayError, match=re.escape(message)):
         complete("x", cfg)
     config_path, _ = write_run_config(
         tmp_path, endpoint_overrides={"base_url": http_endpoint})
@@ -353,7 +429,7 @@ def test_malformed_chat_response(http_endpoint, tmp_path, name):
     with open(tmp_path / "out" / "transcript.jsonl") as fh:
         lines = [json.loads(line) for line in fh]
     assert len(lines) == n_test
-    assert all("message.content" in line["raw_text"] for line in lines)
+    assert all(message in line["raw_text"] for line in lines)
 
 
 # 200 bodies for a two-text embeddings request that are not two embeddings
