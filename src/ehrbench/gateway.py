@@ -21,6 +21,7 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -61,8 +62,10 @@ class EndpointConfig:
         if not self.is_stub:
             try:
                 url = urlsplit(self.base_url)
+                # http.client refuses a URL with a space or control character
                 valid = (url.scheme in ("http", "https") and url.hostname
-                         and url.port != 0)
+                         and url.port != 0
+                         and not re.search(r"[\x00-\x20\x7f]", self.base_url))
             except ValueError:  # a bad IPv6 host, or a port not in 0-65535
                 valid = False
             if not valid:
@@ -133,17 +136,31 @@ def _stub_complete(prompt_text, model_name):
     raise InvariantViolation(f"unknown stub model {model_name!r}")
 
 
+@cache
+def _opener():
+    """A urllib opener that follows no redirect, so a 3xx is an HTTPError
+    and the ``Authorization`` header never goes to the host it names."""
+    # urllib.request adds about 58 ms to a start; only sending needs it
+    from urllib.request import HTTPRedirectHandler, build_opener
+
+    class NoRedirect(HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None
+
+    return build_opener(NoRedirect)
+
+
 def _post_with_retries(cfg, path, payload, sample_id=None):
     """POST ``payload`` to ``cfg.base_url + path``; return a 2xx JSON body.
 
     401/403 raise ``AuthFailure``. 429, 5xx, connection errors and timeouts
     are retried ``cfg.max_retries`` times with exponential backoff. Any
-    other status, and a 2xx body that is not JSON, raise ``GatewayError``.
+    other status (a 3xx too), and a 2xx body that is not JSON, raise
+    ``GatewayError``.
     """
-    # urllib.request adds about 58 ms to a start; only sending needs it
     from http.client import HTTPException
     from urllib.error import HTTPError
-    from urllib.request import Request, urlopen
+    from urllib.request import Request
 
     headers = {"Content-Type": "application/json"}
     if cfg.api_key:
@@ -152,7 +169,7 @@ def _post_with_retries(cfg, path, payload, sample_id=None):
                       data=json.dumps(payload).encode(), headers=headers)
     for attempt in range(cfg.max_retries + 1):
         try:
-            with urlopen(request, timeout=cfg.timeout) as resp:
+            with _opener().open(request, timeout=cfg.timeout) as resp:
                 body = resp.read()
         except HTTPError as exc:  # every status but 2xx
             exc.close()

@@ -207,7 +207,9 @@ def test_endpoint_defaults():
 
 @pytest.mark.parametrize("url", ["localhost:9", "127.0.0.1", "http://",
                                  "http:///v1", "ftp://host/v1", "http://h:x",
-                                 "http://h:99999", "http://[::1", ""])
+                                 "http://h:99999", "http://[::1", "",
+                                 "http://h/a b", "http://h/v1\n",
+                                 "http://h/\x7f"])
 def test_base_url_must_be_http_url_with_host(url):
     with pytest.raises(errors.InvariantViolation, match="endpoint.base_url"):
         EndpointConfig(base_url=url)
@@ -229,14 +231,15 @@ class _Handler(BaseHTTPRequestHandler):
     A script entry is a status code or a fault: "drop" closes the
     connection before any response, "slow" holds a 200 body back for
     ``SLOW_S`` after its headers, "short" sends a 200 body shorter than its
-    Content-Length. A 301, 302 or 303 points to ``/moved``, where a GET
-    gets a 405.
+    Content-Length. A 3xx carries ``redirect_to`` as its Location when that
+    is set. A GET gets a 405.
     """
 
     script = []        # status codes or faults; last one repeats
     requests_seen = []  # (path, headers, JSON body, or None for a GET)
     embed_body = None  # raw 200 body for /embeddings; None: a vector per input
     chat_body = None   # raw 200 body for /chat/completions; None: "0.77"
+    redirect_to = None  # Location of a 3xx; None: no Location
 
     def do_GET(self):
         type(self).requests_seen.append((self.path, dict(self.headers), None))
@@ -252,8 +255,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if answer not in (200, "slow", "short"):
             self.send_response(answer)
-            if answer in (301, 302, 303):
-                self.send_header("Location", "/moved")
+            if 300 <= answer < 400 and self.redirect_to:
+                self.send_header("Location", self.redirect_to)
             self.end_headers()
             return
         if self.path.endswith("/embeddings"):
@@ -289,6 +292,7 @@ def http_endpoint():
     _Handler.script = [200]
     _Handler.embed_body = None
     _Handler.chat_body = None
+    _Handler.redirect_to = None
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
 
@@ -340,9 +344,6 @@ class TestHttpWireFormat:
         ("drop", errors.EndpointUnreachable, None, 2),
         ("short", errors.EndpointUnreachable, None, 2),
         (307, errors.GatewayError, "HTTP 307", 1),  # no Location
-        (301, errors.GatewayError, "HTTP 405", 2),  # the GET to /moved
-        (302, errors.GatewayError, "HTTP 405", 2),
-        (303, errors.GatewayError, "HTTP 405", 2),
         (403, errors.AuthFailure, "HTTP 403", 1),
     ], ids=lambda v: str(v) if isinstance(v, (int, str)) else None)
     def test_fault_maps_to_status(self, http_endpoint, answer, error,
@@ -356,9 +357,34 @@ class TestHttpWireFormat:
             complete("x", cfg)
         assert type(exc.value) is error
         assert len(_Handler.requests_seen) == n_requests
-        if answer in (301, 302, 303):
-            path, _, body = _Handler.requests_seen[1]
-            assert (path, body) == ("/moved", None)
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_not_followed(self, http_endpoint, monkeypatch, status):
+        """A 3xx that names another server is a GatewayError after one
+        request, and nothing, so no Authorization header, reaches that
+        server."""
+
+        class Elsewhere(_Handler):
+            requests_seen = []
+
+        other = HTTPServer(("127.0.0.1", 0), Elsewhere)
+        threading.Thread(target=other.serve_forever, args=(0.05,),
+                         daemon=True).start()
+        try:
+            monkeypatch.setenv("EHRBENCH_API_KEY", "sk-test")
+            _Handler.script = [status]
+            _Handler.redirect_to = (f"http://127.0.0.1:{other.server_port}"
+                                    "/chat/completions")
+            cfg = EndpointConfig(base_url=http_endpoint, model_name="m1",
+                                 max_retries=1, backoff_base=0.0, timeout=5)
+            with pytest.raises(errors.GatewayError,
+                               match=f"HTTP {status}") as exc:
+                complete("x", cfg)
+            assert type(exc.value) is errors.GatewayError
+        finally:
+            other.shutdown()
+        assert len(_Handler.requests_seen) == 1
+        assert Elsewhere.requests_seen == []
 
     def test_slow_body_times_out(self, http_endpoint):
         _Handler.script = ["slow"]
