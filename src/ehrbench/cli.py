@@ -33,6 +33,7 @@ from .errors import (
     InvariantViolation,
     ParseError,
     UnknownSample,
+    open_text,
 )
 
 
@@ -365,7 +366,7 @@ def cmd_prompt_preview(args):
 
 def _load_sentence_pairs(path):
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

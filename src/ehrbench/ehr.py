@@ -21,6 +21,7 @@ from .errors import (
     InvariantViolation,
     ParseError,
     SchemaMismatch,
+    open_text,
 )
 
 TIME_ORDINAL = "ordinal"
@@ -196,7 +197,7 @@ def _read_csv(path, header, what):
     """Yield (line number, row) for every non-blank row of a CSV file whose
     first row is ``header``; a row of another width raises ``ParseError``.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, None)
         if found != header:
@@ -314,7 +315,7 @@ def _load_long_csv(path, catalog, task, labels_path):
 
 def read_jsonl(path):
     """Yield (line number, object) for every non-blank line of a JSONL file."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the harness."""
 
+import contextlib
+
 
 class EhrBenchError(Exception):
     """Base class for all harness errors."""
@@ -17,6 +19,18 @@ class ParseError(EhrBenchError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """Open a UTF-8 text file for reading. A byte sequence that is not UTF-8
+    raises ``ParseError`` naming the file, not ``UnicodeDecodeError``."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") \
+                from None
 
 
 class InvariantViolation(EhrBenchError):

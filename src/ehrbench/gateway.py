@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import time
@@ -52,7 +53,12 @@ class EndpointConfig:
     backoff_base: float = 0.5
 
     def __post_init__(self):
-        # "not >=" so that a NaN float fails too
+        # json.load reads the tokens NaN and Infinity as floats
+        for key in ("temperature", "timeout", "backoff_base"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise InvariantViolation(
+                    f"endpoint.{key} must be finite, got {value}")
         for key, least in (("max_in_flight", 1), ("temperature", 0),
                            ("max_retries", 0), ("backoff_base", 0)):
             if not getattr(self, key) >= least:

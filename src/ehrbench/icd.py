@@ -20,6 +20,7 @@ from .errors import (
     ParseError,
     TooFewItems,
     UnknownCode,
+    open_text,
 )
 
 CODE_PATTERN = re.compile(r"[A-Z][0-9A-Z]{2,6}$")
@@ -48,7 +49,7 @@ def parse_order_file(path):
     """Parse the fixed-width order file into entries, validating as we go."""
     entries = []
     prev_order = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -158,12 +159,50 @@ class ClusterAssignment:
             raise InvariantViolation("cluster id out of range")
 
 
-def _kmeans_pp_init(points, k, rng):
+def _rounding_tol(sq, other_sq, d):
+    """How far the expansion |x|^2 - 2 x.c + |c|^2 may lie from the direct
+    form ``((x - c) ** 2).sum(-1)``, per point x with ``sq`` = |x|^2, over
+    every c with |c|^2 <= ``other_sq``.
+
+    Let u = eps / 2 and R = |x| + max |c|, so |x - c|^2 <= R^2. The direct
+    form (d differences squared, then summed) errs by at most about
+    (d + 2) u R^2. In the expansion, |x|^2, 2 x.c and |c|^2 err by at most
+    d u |x|^2, 2 d u |x||c| and d u |c|^2, and its two additions by about
+    u R^2 each: again (d + 2) u R^2 in all. So the two forms differ by at
+    most 2 (d + 2) u R^2 = (d + 2) eps R^2. The tolerance 8 (d + 3) eps R^2
+    exceeds four times twice that, which leaves room for higher-order terms
+    and the rounding of R itself.
+    """
+    radius = np.sqrt(sq) + np.sqrt(other_sq)
+    return 8 * (d + 3) * np.finfo(float).eps * radius ** 2
+
+
+def _lower_d2(points, sq, tol, dist2, idx):
+    """Lower D^2, the squared distance to the nearest centre, for a new
+    centre ``points[idx]``: ``np.minimum(dist2, ((points - points[idx]) **
+    2).sum(axis=1))`` bit for bit, updated in place and returned.
+
+    Only points whose expanded distance minus ``tol`` (``_rounding_tol``)
+    falls below their D^2 are recomputed in the direct form: every other
+    point's direct distance is at least its D^2, so ``np.minimum`` would
+    keep it.
+    """
+    approx = sq - 2.0 * (points @ points[idx]) + sq[idx]
+    near = np.flatnonzero(approx - tol < dist2)
+    dist2[near] = np.minimum(
+        dist2[near], ((points[near] - points[idx]) ** 2).sum(axis=1))
+    return dist2
+
+
+def _kmeans_pp_init(points, sq, k, rng):
+    """k-means++ (D^2) seeding; ``sq`` holds each point's |x|^2. D^2, and
+    so every draw, equals the direct form's bit for bit."""
     n = len(points)
     centroids = np.empty((k, points.shape[1]))
     first = int(rng.integers(0, n))
     centroids[0] = points[first]
     dist2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    tol = _rounding_tol(sq, sq.max(), points.shape[1])
     for c in range(1, k):
         total = dist2.sum()
         if total == 0.0:
@@ -171,7 +210,7 @@ def _kmeans_pp_init(points, k, rng):
         else:
             idx = int(rng.choice(n, p=dist2 / total))
         centroids[c] = points[idx]
-        dist2 = np.minimum(dist2, ((points - centroids[c]) ** 2).sum(axis=1))
+        dist2 = _lower_d2(points, sq, tol, dist2, idx)
     return centroids
 
 
@@ -184,27 +223,17 @@ def _nearest_centroid(points, sq, centroids):
     distances ``((x - c) ** 2).sum(-1)`` gives it, ties included.
 
     The distances are expanded as |x|^2 - 2 x.c + |c|^2, an n x k matrix
-    from one matrix product; rows whose best two values lie within the
-    rounding bound below are recomputed in the direct form.
-
-    Bound: let u = eps / 2 and R = |x| + max |c|, so |x - c|^2 <= R^2. The
-    direct form (d differences squared, then summed) errs by at most about
-    (d + 2) u R^2. In the expansion, |x|^2, 2 x.c and |c|^2 err by at most
-    d u |x|^2, 2 d u |x||c| and d u |c|^2, and its two additions by about
-    u R^2 each: again (d + 2) u R^2 in all. A row whose computed gap
-    between its best two values exceeds twice the sum of both errors,
-    2 (d + 2) eps R^2, has the same unique argmin in both forms. The
-    tolerance 8 (d + 3) eps R^2 leaves a factor of four for higher-order
-    terms and the rounding of R itself.
+    from one matrix product. A row whose computed gap between its best two
+    values exceeds twice the two forms' difference has the same unique
+    argmin in both; rows whose gap is within ``_rounding_tol`` are
+    recomputed in the direct form.
     """
-    d = points.shape[1]
     csq = (centroids ** 2).sum(axis=1)
     dist2 = sq[:, None] - 2.0 * (points @ centroids.T) + csq
     labels = dist2.argmin(axis=1)
     if len(centroids) > 1:
         best2 = np.partition(dist2, 1, axis=1)
-        radius = np.sqrt(sq) + np.sqrt(csq.max())
-        tol = 8 * (d + 3) * np.finfo(float).eps * radius ** 2
+        tol = _rounding_tol(sq, csq.max(), points.shape[1])
         near = np.flatnonzero(best2[:, 1] - best2[:, 0] <= tol)
         if len(near):
             direct = ((points[near, None, :] - centroids[None, :, :]) ** 2
@@ -223,9 +252,8 @@ def kmeans(embeddings, k, seed):
     n = len(points)
     if k < 1 or n < k:
         raise TooFewItems(f"{n} items for k={k}")
-    rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(points, k, rng)
     sq = (points ** 2).sum(axis=1)
+    centroids = _kmeans_pp_init(points, sq, k, np.random.default_rng(seed))
     for iterations in range(1, _MAX_ITER + 1):
         labels = _nearest_centroid(points, sq, centroids)
         new_centroids = centroids.copy()

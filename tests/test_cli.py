@@ -188,6 +188,15 @@ BAD_CONFIGS = [
     # no scheme: every request would fail and be retried
     ("endpoint.base_url",
      lambda c: c["endpoint"].update(base_url="localhost:9")),
+    # json.dumps writes these as the token Infinity, which json.load reads:
+    # a socket timeout that overflows, a temperature the request body
+    # cannot carry as JSON, a retry sleep that never ends
+    ("endpoint.timeout must be finite",
+     lambda c: c["endpoint"].update(timeout=float("inf"))),
+    ("endpoint.temperature must be finite",
+     lambda c: c["endpoint"].update(temperature=float("inf"))),
+    ("endpoint.backoff_base must be finite",
+     lambda c: c["endpoint"].update(backoff_base=float("inf"))),
 ]
 
 
@@ -520,6 +529,54 @@ def test_report_merge_malformed_report_exits_2(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
     assert not (tmp_path / "merged").exists()
+
+
+def _non_utf8(path):
+    path.write_bytes(b"\xff\n")
+    return str(path)
+
+
+def _non_utf8_config_input(tmp_path, key):
+    config_path, config = write_run_config(tmp_path)
+    config["data"][key] = _non_utf8(tmp_path / f"bad_{key}")
+    config_path.write_text(json.dumps(config))
+    return ["predict", "--config", str(config_path)], config["data"][key]
+
+
+# input file -> (argv, the file's path); each file holds the byte 0xff
+NON_UTF8_INPUTS = {
+    "order_file": lambda tmp: (
+        ["eval-icd", "--order-file", _non_utf8(tmp / "bad.order")],
+        str(tmp / "bad.order")),
+    "pairs_tsv": lambda tmp: (
+        ["eval-sentences", "--pairs", _non_utf8(tmp / "bad.tsv")],
+        str(tmp / "bad.tsv")),
+    "embeddings_jsonl": lambda tmp: (
+        ["eval-icd", "--order-file",
+         os.path.join(FIXTURES, "sibling_codes.order"), "--ks", "2",
+         "--embeddings-file", _non_utf8(tmp / "bad.jsonl")],
+        str(tmp / "bad.jsonl")),
+    "config": lambda tmp: (
+        ["predict", "--config", _non_utf8(tmp / "config.json")],
+        str(tmp / "config.json")),
+    "cohort_jsonl": lambda tmp: _non_utf8_config_input(tmp, "cohort"),
+    "catalog_csv": lambda tmp: _non_utf8_config_input(tmp, "catalog"),
+    "report_merge": lambda tmp: (
+        ["report-merge", _non_utf8(tmp / "report.json")],
+        str(tmp / "report.json")),
+}
+
+
+@pytest.mark.parametrize("name", NON_UTF8_INPUTS)
+def test_non_utf8_input_exits_2_naming_file(tmp_path, capsys, name):
+    argv, path = NON_UTF8_INPUTS[name](tmp_path)
+    out = tmp_path / "out"
+    if "--config" not in argv:
+        argv += ["--output-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
+    assert not out.exists()
 
 
 def test_stub_benchmark_script(tmp_path):

@@ -5,13 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from ehrbench import errors
+from ehrbench import errors, icd
 from ehrbench.icd import (
     _MAX_ITER,
     _TOL,
     ROOT,
     IcdTree,
-    _kmeans_pp_init,
     avg_code_distance,
     build_tree,
     filter_broad_codes,
@@ -208,13 +207,35 @@ class TestKmeans:
         assert len(assignment.labels) == 40
 
 
+def direct_pp_init(points, k, rng):
+    """k-means++ seeding with a full direct-form distance pass per centre,
+    as it was first written. Returns the centroids and D^2 after each
+    centre past the first."""
+    n = len(points)
+    centroids = np.empty((k, points.shape[1]))
+    first = int(rng.integers(0, n))
+    centroids[0] = points[first]
+    dist2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    steps = []
+    for c in range(1, k):
+        total = dist2.sum()
+        if total == 0.0:
+            idx = int(rng.integers(0, n))
+        else:
+            idx = int(rng.choice(n, p=dist2 / total))
+        centroids[c] = points[idx]
+        dist2 = np.minimum(dist2, ((points - centroids[c]) ** 2).sum(axis=1))
+        steps.append(dist2)
+    return centroids, steps
+
+
 def direct_kmeans(embeddings, k, seed):
     """k-means over the full n x k x d difference tensor, as ``kmeans`` was
     first written: the reference its labels, centroids and iteration count
     must equal. Also returns how many empty clusters were reseeded."""
     points = np.asarray(embeddings, dtype=float)
     n = len(points)
-    centroids = _kmeans_pp_init(points, k, np.random.default_rng(seed))
+    centroids, _ = direct_pp_init(points, k, np.random.default_rng(seed))
     reseeds = 0
     for iterations in range(1, _MAX_ITER + 1):
         dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -238,8 +259,31 @@ def direct_kmeans(embeddings, k, seed):
             iterations, reseeds)
 
 
+def assert_seeding_matches_direct(points, k, seed):
+    """``_kmeans_pp_init`` seeds as ``direct_pp_init`` does: D^2 after
+    every centre and the centroids, byte for byte."""
+    points = np.asarray(points, dtype=float)
+    want, want_steps = direct_pp_init(points, k, np.random.default_rng(seed))
+    steps = []
+    lower_d2 = icd._lower_d2
+
+    def spy(*args):
+        dist2 = lower_d2(*args)
+        steps.append(dist2.copy())
+        return dist2
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(icd, "_lower_d2", spy)
+        got = icd._kmeans_pp_init(points, (points ** 2).sum(axis=1), k,
+                                  np.random.default_rng(seed))
+    assert [s.tobytes() for s in steps] == [s.tobytes() for s in want_steps]
+    assert got.tobytes() == want.tobytes()
+
+
 def assert_matches_direct(points, k, seed):
-    """``kmeans`` equals ``direct_kmeans``; returns the reseed count."""
+    """``kmeans`` equals ``direct_kmeans``, and its seeding equals
+    ``direct_pp_init`` step by step; returns the reseed count."""
+    assert_seeding_matches_direct(points, k, seed)
     labels, centroids, iterations, reseeds = direct_kmeans(points, k, seed)
     got = kmeans(points, k, seed)
     assert got.labels == labels
@@ -249,8 +293,8 @@ def assert_matches_direct(points, k, seed):
 
 
 class TestKmeansEqualsDirectForm:
-    """The matrix-product distances give the direct form's labels bit for
-    bit, ties included."""
+    """The matrix-product distances give the direct form's D^2 in the
+    seeding and its labels in the iterations, bit for bit, ties included."""
 
     def test_gaussian(self, rng):
         for i in range(20):
@@ -283,6 +327,22 @@ class TestKmeansEqualsDirectForm:
         for i in range(10):
             points = 1e3 + rng.normal(size=(40, 8))
             assert_matches_direct(points, int(rng.integers(2, 8)), i)
+
+    def test_tight_cluster_far_from_origin(self, rng):
+        # distances near 1e-12 against expansion errors near 1e-10: without
+        # the rounding bound the expansion misses points a centre lowers
+        for i in range(10):
+            points = 1e3 + 1e-6 * rng.normal(size=(30, 3))
+            assert_matches_direct(points, int(rng.integers(2, 8)), i)
+
+    def test_n_equals_k(self, rng):
+        for i in range(5):
+            n = int(rng.integers(1, 12))
+            assert_matches_direct(rng.normal(size=(n, 4)), n, i)
+
+    def test_all_identical_points(self):
+        for i, value in enumerate((0.0, 1.0, -0.3, 1e3)):
+            assert_matches_direct(np.full((15, 5), value), 4, i)
 
 
 class TestAvgCodeDistance:
