@@ -267,16 +267,12 @@ def _score(outcomes, records, boot):
         )
         for sid, o in sorted(outcomes.items())
     ]
-    results = {}
-    for name, fn in (("auroc", metrics.auroc), ("auprc", metrics.auprc)):
-        try:
-            result = metrics.bootstrap(fn, samples, n=boot.n, seed=boot.seed)
-            results[name] = {"mean": result.mean, "std": result.std,
-                             "n_resamples": result.n_resamples,
-                             "seed": result.seed}
-        except (metrics.SingleClass, metrics.NoPositives) as exc:
-            results[name] = {"error": str(exc)}
-    return results
+    results = metrics.bootstrap_pass(samples, ("auroc", "auprc"),
+                                     n=boot.n, seed=boot.seed)
+    return {name: {"error": str(result)} if isinstance(result, Exception)
+            else {"mean": result.mean, "std": result.std,
+                  "n_resamples": result.n_resamples, "seed": result.seed}
+            for name, result in results.items()}
 
 
 def _transcript(outcomes, rendered):

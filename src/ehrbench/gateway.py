@@ -11,6 +11,9 @@ Offline stub models make the whole pipeline testable without a server:
 Wire format for real endpoints follows the de-facto open chat-completions
 JSON shape (``messages`` array in, ``choices[0].message.content`` out) and
 embeddings shape (``data[i].embedding``); see README for request examples.
+Requests go over ``http.client``: one kept-alive connection per thread and
+endpoint, closed when ``complete_batch`` or ``embed`` returns, with quick
+ACKs and the proxies urllib would use.
 """
 from __future__ import annotations
 
@@ -19,10 +22,11 @@ import json
 import math
 import os
 import re
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -59,8 +63,9 @@ class EndpointConfig:
             if not math.isfinite(value):
                 raise InvariantViolation(
                     f"endpoint.{key} must be finite, got {value}")
-        for key, least in (("max_in_flight", 1), ("temperature", 0),
-                           ("max_retries", 0), ("backoff_base", 0)):
+        for key, least in (("max_in_flight", 1), ("max_new_tokens", 1),
+                           ("temperature", 0), ("max_retries", 0),
+                           ("backoff_base", 0)):
             if not getattr(self, key) >= least:
                 raise InvariantViolation(f"endpoint.{key} must be >= {least}")
         if not self.timeout > 0:
@@ -142,58 +147,126 @@ def _stub_complete(prompt_text, model_name):
     raise InvariantViolation(f"unknown stub model {model_name!r}")
 
 
-@cache
-def _opener():
-    """A urllib opener that follows no redirect, so a 3xx is an HTTPError
-    and the ``Authorization`` header never goes to the host it names."""
-    # urllib.request adds about 58 ms to a start; only sending needs it
-    from urllib.request import HTTPRedirectHandler, build_opener
+# .conns, inside a _kept_alive block: {EndpointConfig: _connect's triple}
+_kept = threading.local()
 
-    class NoRedirect(HTTPRedirectHandler):
-        def redirect_request(self, *args):
-            return None
 
-    return build_opener(NoRedirect)
+@contextmanager
+def _kept_alive():
+    """Reuse one connection per endpoint on this thread until the outermost
+    such block ends, then close them all."""
+    if getattr(_kept, "conns", None) is not None:
+        yield _kept.conns
+        return
+    _kept.conns = {}
+    try:
+        yield _kept.conns
+    finally:
+        for conn, _, _ in _kept.conns.values():
+            conn.close()
+        _kept.conns = None
+
+
+def _connect(cfg):
+    """(an unopened connection for cfg's endpoint, the prefix of its request
+    targets, headers to add), through the proxy urllib would use.
+
+    An https endpoint behind a proxy is reached through a CONNECT tunnel; an
+    http one gets absolute-form targets (RFC 9112 section 3.2.2). Proxy
+    credentials in the proxy URL go in a ``Proxy-Authorization`` header.
+    """
+    import base64
+    from http.client import HTTPConnection, HTTPSConnection
+    from urllib.parse import unquote
+    from urllib.request import getproxies, proxy_bypass
+
+    url = urlsplit(cfg.base_url.rstrip("/"))
+    conn_class = HTTPSConnection if url.scheme == "https" else HTTPConnection
+    origin_form = url._replace(scheme="", netloc="").geturl()
+    proxy = getproxies().get(url.scheme)
+    if not proxy or proxy_bypass(url.netloc):
+        return (conn_class(url.hostname, url.port, timeout=cfg.timeout),
+                origin_form, {})
+    proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    auth = {}
+    if proxy.username is not None:
+        user_pass = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(
+            user_pass.encode()).decode("ascii")
+    conn = conn_class(proxy.hostname, proxy.port, timeout=cfg.timeout)
+    if url.scheme == "https":
+        conn.set_tunnel(url.hostname, url.port, headers=auth)
+        return conn, origin_form, {}
+    return conn, url.geturl(), auth
+
+
+def _exchange(conn, target, body, headers):
+    """POST ``body`` over ``conn``; return (status, response body).
+
+    A kept-alive connection that fails before any response byte (the server
+    closed it while idle) is reopened and the request sent once more. After
+    any other failure the connection is closed, so the next use reopens it.
+    """
+    import socket
+
+    reused = conn.sock is not None
+    while True:
+        resp = None
+        try:
+            conn.request("POST", target, body, headers)
+            # a server with Nagle on holds a response's body segment until
+            # its header segment is ACKed: ACK at once, not after the
+            # delayed-ACK timer (about 40 ms)
+            if hasattr(socket, "TCP_QUICKACK"):
+                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+        except BaseException as exc:
+            conn.close()
+            if not (reused and resp is None and isinstance(exc, ConnectionError)):
+                raise
+            reused = False
 
 
 def _post_with_retries(cfg, path, payload, sample_id=None):
     """POST ``payload`` to ``cfg.base_url + path``; return a 2xx JSON body.
 
-    401/403 raise ``AuthFailure``. 429, 5xx, connection errors and timeouts
-    are retried ``cfg.max_retries`` times with exponential backoff. Any
-    other status (a 3xx too), and a 2xx body that is not JSON, raise
-    ``GatewayError``.
+    Sends over this thread's kept-alive connection to the endpoint (see
+    ``_exchange``). 401/403 raise ``AuthFailure``. 429, 5xx, connection
+    errors and timeouts are retried ``cfg.max_retries`` times with
+    exponential backoff. Any other status (a 3xx too: http.client follows no
+    redirect), and a 2xx body that is not JSON, raise ``GatewayError``.
     """
     from http.client import HTTPException
-    from urllib.error import HTTPError
-    from urllib.request import Request
 
     headers = {"Content-Type": "application/json"}
     if cfg.api_key:
         headers["Authorization"] = f"Bearer {cfg.api_key}"
-    request = Request(cfg.base_url.rstrip("/") + path,
-                      data=json.dumps(payload).encode(), headers=headers)
-    for attempt in range(cfg.max_retries + 1):
-        try:
-            with _opener().open(request, timeout=cfg.timeout) as resp:
-                body = resp.read()
-        except HTTPError as exc:  # every status but 2xx
-            exc.close()
-            if exc.code != 429 and exc.code < 500:
-                error = AuthFailure if exc.code in (401, 403) else GatewayError
-                raise error(f"HTTP {exc.code}", sample_id=sample_id)
-            error = RateLimited if exc.code == 429 else EndpointUnreachable
-            last_error = error(f"HTTP {exc.code}", sample_id=sample_id)
-        except (OSError, HTTPException) as exc:  # HTTPError is an OSError
-            last_error = EndpointUnreachable(str(exc), sample_id=sample_id)
-        else:
+    body = json.dumps(payload).encode()
+    with _kept_alive() as conns:
+        if cfg not in conns:
+            conns[cfg] = _connect(cfg)
+        conn, prefix, proxy_headers = conns[cfg]
+        headers.update(proxy_headers)
+        for attempt in range(cfg.max_retries + 1):
             try:
-                return json.loads(body)
-            except ValueError:
-                raise GatewayError(f"HTTP {resp.status} body is not JSON",
-                                   sample_id=sample_id) from None
-        if attempt < cfg.max_retries:
-            time.sleep(cfg.backoff_base * 2**attempt)
+                status, data = _exchange(conn, prefix + path, body, headers)
+            except (OSError, HTTPException) as exc:
+                last_error = EndpointUnreachable(str(exc), sample_id=sample_id)
+            else:
+                if 200 <= status < 300:
+                    try:
+                        return json.loads(data)
+                    except ValueError:
+                        raise GatewayError(f"HTTP {status} body is not JSON",
+                                           sample_id=sample_id) from None
+                if status != 429 and status < 500:
+                    error = AuthFailure if status in (401, 403) else GatewayError
+                    raise error(f"HTTP {status}", sample_id=sample_id)
+                error = RateLimited if status == 429 else EndpointUnreachable
+                last_error = error(f"HTTP {status}", sample_id=sample_id)
+            if attempt < cfg.max_retries:
+                time.sleep(cfg.backoff_base * 2**attempt)
     raise last_error
 
 
@@ -228,18 +301,32 @@ def complete(prompt, cfg, sample_id=None):
 def complete_batch(prompts_by_id, cfg):
     """Run up to cfg.max_in_flight completions concurrently.
 
-    Returns {sample_id: raw_text or GatewayError}; results are keyed, so the
-    outcome set is independent of request order.
+    Returns {sample_id: raw_text or GatewayError} in ``prompts_by_id``
+    order. Each worker thread sends over one kept-alive connection, closed
+    when the batch returns.
     """
-    def run(item):
-        sid, prompt = item
-        try:
-            return sid, complete(prompt, cfg, sample_id=sid)
-        except Exception as exc:  # noqa: BLE001 - surfaced per-sample
-            return sid, exc
+    jobs = iter(list(prompts_by_id.items()))
+    lock = threading.Lock()
+    results = {}
 
+    def work():
+        with _kept_alive():
+            while True:
+                with lock:
+                    job = next(jobs, None)
+                if job is None:
+                    return
+                sid, prompt = job
+                try:
+                    results[sid] = complete(prompt, cfg, sample_id=sid)
+                except Exception as exc:  # noqa: BLE001 - surfaced per-sample
+                    results[sid] = exc
+
+    n_workers = min(cfg.max_in_flight, len(prompts_by_id))
     with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-        return dict(pool.map(run, prompts_by_id.items()))
+        for future in [pool.submit(work) for _ in range(n_workers)]:
+            future.result()
+    return {sid: results[sid] for sid in prompts_by_id}
 
 
 def _stub_embed(texts, dim):

@@ -16,10 +16,13 @@ the metric on the expanded list bit for bit. Average ranks come from the
 cumsum of group sizes, and Kendall counts discordant pairs by merge sort
 (Knight 1966), O(n log n). Bootstrap resample i draws its index sequence
 from ``numpy.random.default_rng([seed, i])``, which is the documented
-contract reference implementations may rely on.
+contract reference implementations may rely on. ``bootstrap_pass`` draws
+each resample once for AUROC and AUPRC together and scores a chunk of
+resamples at a time as rows of counts.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -131,6 +134,34 @@ def _group_counts(samples, weights):
     return pos, total - pos
 
 
+def _auroc_rows(pos, neg):
+    """AUROC of each row of whole-number per-group counts (groups in
+    ascending score order), and whether it is defined: both classes present.
+    """
+    n_pos, n_neg = pos.sum(1), neg.sum(1)
+    below = np.cumsum(neg, axis=1) - neg
+    # the counts are whole numbers, so twice the Mann-Whitney U is exact
+    twice_u = (pos * (2 * below + neg)).sum(1)
+    defined = (n_pos > 0) & (n_neg > 0)
+    return twice_u / 2.0 / np.maximum(n_pos * n_neg, 1), defined
+
+
+def _auprc_rows(pos, neg):
+    """AUPRC of each row of whole-number per-group counts (groups in
+    ascending score order), and whether it is defined: a positive present.
+    """
+    n_pos = pos.sum(1)
+    pos, total = pos[:, ::-1], (pos + neg)[:, ::-1]
+    # a group without positives adds a term of 0; the floor of 1 only keeps
+    # its precision finite where nothing is above the threshold yet
+    precision = np.cumsum(pos, axis=1) / np.maximum(np.cumsum(total, axis=1), 1)
+    terms = precision * pos / np.maximum(n_pos, 1)[:, None]
+    # summed one term at a time in threshold order, as a loop over the
+    # thresholds would (adding a 0 changes no bit); np.sum adds pairwise and
+    # can differ in the last bit
+    return np.cumsum(terms, axis=1)[:, -1], n_pos > 0
+
+
 def auroc(samples, weights=None):
     """P(score_pos > score_neg) + 0.5 P(score_pos = score_neg).
 
@@ -142,10 +173,7 @@ def auroc(samples, weights=None):
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise SingleClass(f"{n_pos} positives, {n_neg} negatives")
-    below = np.cumsum(neg) - neg
-    # counts are integer-valued floats, so twice the Mann-Whitney U is exact
-    twice_u = float(pos @ (2.0 * below + neg))
-    return (twice_u / 2.0) / (n_pos * n_neg)
+    return float(_auroc_rows(pos[None], neg[None])[0][0])
 
 
 def auprc(samples, weights=None):
@@ -154,53 +182,93 @@ def auprc(samples, weights=None):
     Takes the same ``samples`` and ``weights`` as ``auroc``.
     """
     pos, neg = _group_counts(samples, weights)
-    n_pos = int(pos.sum())
-    if n_pos == 0:
+    if not pos.any():
         raise NoPositives("no positive samples")
-    pos, total = pos[::-1], (pos + neg)[::-1]
-    hit = pos > 0
-    precision = np.cumsum(pos)[hit] / np.cumsum(total)[hit]
-    # summed one term at a time in threshold order, as a loop over the
-    # thresholds would; np.sum adds pairwise and can differ in the last bit
-    return float(np.cumsum(precision * pos[hit] / n_pos)[-1])
+    return float(_auprc_rows(pos[None], neg[None])[0][0])
 
 
 _MAX_REDRAWS = 100
+# resamples scored together; a chunk holds _CHUNK x m resample indices and
+# _CHUNK x 2 x groups counts, so this bounds the pass's memory
+_CHUNK = 16
 
 
-def bootstrap(metric, samples, n=10, seed=0):
-    """Resample-with-replacement uncertainty for a metric.
+# name -> (per-resample metric, row-wise form of it)
+_BOOTSTRAPPED = {"auroc": (auroc, _auroc_rows), "auprc": (auprc, _auprc_rows)}
 
-    Resample i uses indices ``default_rng([seed, i]).integers(0, m, m)``
-    and is scored as ``metric(TieGroups.of(samples), weights=...)`` with
-    each sample's multiplicity in the resample as its weight. Resamples on
-    which the metric is undefined (a class vanished) are redrawn a bounded
-    number of times, then raised. ``std`` is the population standard
-    deviation of the resample values.
+
+def _redraw(metric, view, rng, m):
+    """``metric`` on the first of ``rng``'s next resamples where it is
+    defined; raises after ``_MAX_REDRAWS`` undefined ones."""
+    for attempt in range(1, _MAX_REDRAWS + 1):
+        weights = np.bincount(rng.integers(0, m, size=m), minlength=m)
+        try:
+            return metric(view, weights=weights)
+        except (SingleClass, NoPositives):
+            if attempt == _MAX_REDRAWS:
+                raise
+
+
+def bootstrap_pass(samples, names, n=10, seed=0):
+    """Bootstrap the metrics ``names`` ("auroc", "auprc") over one set of
+    resamples.
+
+    Resample i is drawn once, as indices ``default_rng([seed, i]).integers(0,
+    m, m)``, and scored by every metric. ``_CHUNK`` resamples at a time are
+    counted per tie group and class with one ``np.bincount`` and scored row
+    by row; the counts are whole numbers, so each value equals the metric on
+    the resampled list bit for bit. A metric undefined on a resample (a class
+    vanished) redraws it from its own copy of that resample's generator, at
+    most ``_MAX_REDRAWS`` times. Returns {name: ``BootstrapResult``, or the
+    ``SingleClass``/``NoPositives`` of the resample whose redraws ran out}.
+    ``std`` is the population standard deviation of the resample values.
     """
     if not samples:
         raise EmptyInput("no samples")
     m = len(samples)
     view = TieGroups.of(samples)
-    values = []
-    for i in range(n):
-        rng = np.random.default_rng([seed, i])
-        for attempt in range(_MAX_REDRAWS + 1):
-            idx = rng.integers(0, m, size=m)
+    n_bins = 2 * view.n_groups
+    sample_bin = 2 * view.group + view.label.astype(np.intp)
+    values = {name: np.empty(n) for name in names}
+    failed = {}
+    for start in range(0, n, _CHUNK):
+        rngs = [np.random.default_rng([seed, i])
+                for i in range(start, min(start + _CHUNK, n))]
+        rows = len(rngs)
+        idx = np.array([rng.integers(0, m, size=m) for rng in rngs])
+        bins = sample_bin[idx] + n_bins * np.arange(rows)[:, None]
+        counts = np.bincount(bins.ravel(), minlength=rows * n_bins)
+        counts = counts.reshape(rows, view.n_groups, 2)
+        neg, pos = counts[..., 0], counts[..., 1]
+        for name in names:
+            if name in failed:
+                continue
+            metric, score_rows = _BOOTSTRAPPED[name]
+            scores, defined = score_rows(pos, neg)
             try:
-                values.append(
-                    metric(view, weights=np.bincount(idx, minlength=m)))
-                break
-            except (SingleClass, NoPositives):
-                if attempt == _MAX_REDRAWS:
-                    raise
-    values = np.asarray(values, dtype=float)
-    return BootstrapResult(
-        mean=float(values.mean()),
-        std=float(values.std()),
-        n_resamples=n,
-        seed=seed,
-    )
+                for r in np.flatnonzero(~defined):
+                    scores[r] = _redraw(metric, view, copy.deepcopy(rngs[r]), m)
+            except (SingleClass, NoPositives) as exc:
+                failed[name] = exc
+            values[name][start:start + rows] = scores
+    return {name: failed[name] if name in failed else BootstrapResult(
+                mean=float(values[name].mean()), std=float(values[name].std()),
+                n_resamples=n, seed=seed)
+            for name in names}
+
+
+def bootstrap(metric, samples, n=10, seed=0):
+    """Resample-with-replacement uncertainty for ``auroc`` or ``auprc``.
+
+    ``bootstrap_pass`` for the one metric: the same resamples and values.
+    Raises the ``SingleClass``/``NoPositives`` of a resample whose redraws
+    ran out.
+    """
+    result = bootstrap_pass(samples, (metric.__name__,), n=n, seed=seed)
+    result = result[metric.__name__]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _check_paired(xs, ys):

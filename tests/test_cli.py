@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from ehrbench.cli import config_fingerprint, main
+from ehrbench.cli import BootstrapSpec, _score, config_fingerprint, main
+from ehrbench.gateway import PredictionOutcome
 from ehrbench.prompts import task_instruction
 from ehrbench.synthetic import (
     synthetic_cohort,
@@ -161,6 +163,19 @@ class TestPredict:
         assert float(rows[0]["auroc_mean"]) == 0.5
 
 
+def test_score_reports_auroc_error_beside_auprc():
+    """On an all-positive test split AUROC is undefined on every resample;
+    its error goes in its place and AUPRC is still scored."""
+    records = [SimpleNamespace(patient_id=f"p{i}", label=1) for i in range(5)]
+    outcomes = {r.patient_id: PredictionOutcome(r.patient_id, "decoded",
+                                                0.2 * i, "x")
+                for i, r in enumerate(records)}
+    scores = _score(outcomes, records, BootstrapSpec(n=10, seed=0))
+    assert scores["auroc"] == {"error": "5 positives, 0 negatives"}
+    assert scores["auprc"] == {"mean": 1.0, "std": 0.0, "n_resamples": 10,
+                               "seed": 0}
+
+
 # (config key the message must name, edit that breaks it)
 BAD_CONFIGS = [
     ("data.task", lambda c: c["data"].pop("task")),
@@ -182,6 +197,9 @@ BAD_CONFIGS = [
     ("endpoint.timeout", lambda c: c["endpoint"].update(timeout=0)),
     ("endpoint.backoff_base",
      lambda c: c["endpoint"].update(backoff_base=-0.5)),
+    # every request would ask for a negative number of tokens
+    ("endpoint.max_new_tokens",
+     lambda c: c["endpoint"].update(max_new_tokens=-5)),
     # values print with two decimals; this is no longer a setting
     ("prompt.value_decimals",
      lambda c: c["prompt"].update(value_decimals=2)),

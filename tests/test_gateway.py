@@ -1,16 +1,18 @@
 import hashlib
 import json
 import re
+import socket
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrbench import errors
+from ehrbench import errors, gateway
 from ehrbench.cli import main
 from ehrbench.gateway import (
     EndpointConfig,
@@ -142,6 +144,23 @@ class TestStubs:
         assert set(results) == set(prompts)
         for sid, text in results.items():
             assert text == complete(prompts[sid], cfg)
+
+    def test_batch_sends_each_prompt_once(self, monkeypatch):
+        """The workers share one job iterator; with a thread switch every
+        microsecond, no prompt is sent twice or skipped."""
+        cfg = EndpointConfig(model_name="noise-1", max_in_flight=8)
+        prompts = {f"s{i}": f"prompt {i}" for i in range(400)}
+        sent = []
+        monkeypatch.setattr(gateway, "complete", lambda prompt, cfg, sample_id:
+                            sent.append(sample_id) or prompt.upper())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = complete_batch(prompts, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(sent) == sorted(prompts)
+        assert results == {sid: p.upper() for sid, p in prompts.items()}
 
     def test_batch_surfaces_per_sample_errors(self):
         cfg = EndpointConfig(model_name="mystery")
@@ -295,6 +314,7 @@ def http_endpoint():
     _Handler.redirect_to = None
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpWireFormat:
@@ -383,6 +403,7 @@ class TestHttpWireFormat:
             assert type(exc.value) is errors.GatewayError
         finally:
             other.shutdown()
+            other.server_close()
         assert len(_Handler.requests_seen) == 1
         assert Elsewhere.requests_seen == []
 
@@ -401,6 +422,153 @@ class TestHttpWireFormat:
         path, _, body = _Handler.requests_seen[0]
         assert path == "/embeddings"
         assert body == {"model": "emb", "input": ["a", "b"]}
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 chat endpoint that keeps connections open, with Nagle on, and
+    writes each response's headers and body separately, as two segments.
+
+    With ``close_after`` it closes the connection after each response
+    without a ``Connection: close`` header, as a server whose idle timeout
+    has passed does.
+    """
+
+    protocol_version = "HTTP/1.1"
+    close_after = False
+    seen = []  # (client port, request target, headers) of each request
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        type(self).seen.append((self.client_address[1], self.path,
+                                dict(self.headers)))
+        blob = json.dumps(
+            {"choices": [{"message": {"content": "0.77"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(blob)))
+        self.end_headers()
+        self.wfile.write(blob)
+        self.close_connection = self.close_after
+
+    def do_CONNECT(self):
+        """Refuse every tunnel, after noting its target."""
+        type(self).seen.append((self.client_address[1], self.path,
+                                dict(self.headers)))
+        self.send_response(502)
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def keepalive_endpoint():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
+    thread.start()
+    _KeepAliveHandler.seen = []
+    _KeepAliveHandler.close_after = False
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+
+
+def _connections():
+    return len({port for port, _, _ in _KeepAliveHandler.seen})
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """No proxy variable set, and no lookup of ehrbench.invalid reaches a
+    resolver: it fails at once, as a name that does not resolve."""
+    real_getaddrinfo = socket.getaddrinfo
+
+    def getaddrinfo(host, *args, **kwargs):
+        if host == "ehrbench.invalid":
+            raise socket.gaierror(socket.EAI_NONAME, "not known")
+        return real_getaddrinfo(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+    for name in ("http_proxy", "https_proxy", "no_proxy", "HTTP_PROXY",
+                 "HTTPS_PROXY", "NO_PROXY", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
+class TestKeptAliveConnections:
+    @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"),
+                        reason="no TCP_QUICKACK on this platform")
+    def test_one_connection_without_delayed_ack_stalls(self,
+                                                       keepalive_endpoint):
+        """Without quick ACKs each response's body would wait about 40 ms
+        for the client's delayed ACK of its headers."""
+        cfg = EndpointConfig(base_url=keepalive_endpoint, model_name="m1",
+                             max_in_flight=1)
+        prompts = {f"s{i}": f"prompt {i}" for i in range(30)}
+        start = time.perf_counter()
+        results = complete_batch(prompts, cfg)
+        elapsed = time.perf_counter() - start
+        assert set(results.values()) == {"0.77"}
+        assert len(_KeepAliveHandler.seen) == 30
+        assert _connections() == 1
+        assert elapsed < 30 * 0.040 / 2
+
+    def test_connection_closed_by_server_is_reopened(self, keepalive_endpoint,
+                                                     monkeypatch):
+        """A request on a connection the server closed while idle is sent
+        again once on a new one, with no retry and no backoff."""
+        _KeepAliveHandler.close_after = True
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        cfg = EndpointConfig(base_url=keepalive_endpoint, model_name="m1",
+                             max_in_flight=1, max_retries=0, backoff_base=5)
+        prompts = {f"s{i}": f"prompt {i}" for i in range(6)}
+        assert complete_batch(prompts, cfg) == dict.fromkeys(prompts, "0.77")
+        assert len(_KeepAliveHandler.seen) == 6
+        assert _connections() == 6
+        assert sleeps == []
+
+    def test_at_most_one_connection_per_worker(self, keepalive_endpoint):
+        cfg = EndpointConfig(base_url=keepalive_endpoint, model_name="m1",
+                             max_in_flight=3)
+        prompts = {f"s{i}": f"prompt {i}" for i in range(12)}
+        assert complete_batch(prompts, cfg) == dict.fromkeys(prompts, "0.77")
+        assert len(_KeepAliveHandler.seen) == 12
+        assert _connections() <= 3
+
+    def test_http_proxy_and_no_proxy(self, keepalive_endpoint, proxy_env):
+        """Through HTTP_PROXY the request carries the absolute-form target
+        and the proxy URL's credentials; NO_PROXY sends it straight to the
+        host, which does not resolve."""
+        proxy_env.setenv("HTTP_PROXY", keepalive_endpoint.replace(
+            "//", "//u%40x:p@"))
+        cfg = EndpointConfig(base_url="http://ehrbench.invalid/v1",
+                             model_name="m1", max_retries=0)
+        assert complete("x", cfg) == "0.77"
+        [(_, target, headers)] = _KeepAliveHandler.seen
+        assert target == "http://ehrbench.invalid/v1/chat/completions"
+        assert headers["Host"] == "ehrbench.invalid"
+        assert headers["Proxy-Authorization"] == "Basic dUB4OnA="  # u@x:p
+        proxy_env.setenv("NO_PROXY", "ehrbench.invalid")
+        with pytest.raises(errors.EndpointUnreachable):
+            complete("x", cfg)
+        assert len(_KeepAliveHandler.seen) == 1
+
+    def test_https_proxy_tunnel(self, keepalive_endpoint, proxy_env):
+        """An https endpoint behind HTTPS_PROXY is asked for with CONNECT,
+        carrying the proxy URL's credentials; a refused tunnel is a
+        connection error."""
+        proxy_env.setenv("HTTPS_PROXY", keepalive_endpoint.replace(
+            "//", "//u%40x:p@"))
+        cfg = EndpointConfig(base_url="https://ehrbench.invalid/v1",
+                             model_name="m1", max_retries=0)
+        with pytest.raises(errors.EndpointUnreachable, match="502"):
+            complete("x", cfg)
+        [(_, target, headers)] = _KeepAliveHandler.seen
+        assert target == "ehrbench.invalid:443"
+        assert headers["Proxy-Authorization"] == "Basic dUB4OnA="
 
 
 @pytest.mark.parametrize("status", [400, 404])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_scored_samples
-from ehrbench import errors
+from ehrbench import errors, metrics
 from ehrbench.metrics import (
     ScoredSample,
     SimilarityPair,
@@ -16,6 +16,7 @@ from ehrbench.metrics import (
     auprc,
     auroc,
     bootstrap,
+    bootstrap_pass,
     kendall,
     pearson,
     pearson_distance,
@@ -173,6 +174,41 @@ class TestBootstrap:
         assert result.std == float(np.std(values))
         if cohort == "one_positive":
             assert redraws > 0
+
+    @pytest.mark.parametrize("cohort, n, redrawn", [
+        ("random", 25, set()),
+        # a resample often loses the positive, which both metrics need
+        ("one_positive", 25, {"auroc", "auprc"}),
+        # a resample often loses the negative, which only auroc needs
+        ("one_negative", 25, {"auroc"}),
+        ("random", 2 * metrics._CHUNK + 3, set()),
+    ], ids=["random", "one_positive", "one_negative", "partial_chunk"])
+    def test_shared_pass_equals_one_metric_calls(self, monkeypatch, cohort,
+                                                 n, redrawn):
+        if cohort == "random":
+            samples = random_scored_samples(np.random.default_rng(79), n=40)
+        else:
+            # the odd sample scores between the others, so every resample's
+            # value depends on which of them it drew
+            odd = int(cohort == "one_positive")
+            samples = [ScoredSample("odd", 0.15, odd)] + [
+                ScoredSample(f"s{i}", 0.1 * (i % 3), 1 - odd)
+                for i in range(20)]
+        seen = set()
+        redraw = metrics._redraw
+
+        def counted(metric, *args):
+            seen.add(metric.__name__)
+            return redraw(metric, *args)
+
+        monkeypatch.setattr(metrics, "_redraw", counted)
+        shared = bootstrap_pass(samples, ("auroc", "auprc"), n=n, seed=6)
+        assert seen == redrawn
+        for metric in (auroc, auprc):
+            alone = bootstrap(metric, samples, n=n, seed=6)
+            got = shared[metric.__name__]
+            assert (got.mean, got.std, got.n_resamples) == \
+                (alone.mean, alone.std, n)
 
 
 def _outcome(metric, samples, **kwargs):
