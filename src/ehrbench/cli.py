@@ -85,6 +85,8 @@ class BootstrapSpec:
     def __post_init__(self):
         if self.n < 1:
             raise InvariantViolation("bootstrap.n must be >= 1")
+        if self.seed < 0:
+            raise InvariantViolation("bootstrap.seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -510,6 +512,18 @@ def _ks(text):
     return ks
 
 
+def _seed(text):
+    """``--seed``: an integer >= 0, as ``numpy.random.default_rng`` takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return seed
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ehrbench",
@@ -552,7 +566,7 @@ def build_parser():
     p.add_argument("--model", default="hash-embed-64")
     p.add_argument("--ks", type=_ks, default="10,20,30,40,50",
                    help="comma-separated distinct cluster counts, each >= 1")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_eval_icd)
 

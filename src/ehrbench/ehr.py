@@ -179,6 +179,8 @@ class SplitSpec:
             raise InvariantViolation(f"fractions {fracs} outside [0, 1]")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise InvariantViolation(f"fractions {fracs} do not sum to 1")
+        if self.seed < 0:
+            raise InvariantViolation("split.seed must be >= 0")
 
 
 @dataclass(frozen=True)

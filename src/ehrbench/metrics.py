@@ -6,19 +6,19 @@ threshold step. Kendall is the tie-adjusted tau-b; Spearman uses average
 ranks.
 
 All of them count over tie groups: the values are sorted once by
-``np.unique`` and each value gets its group. AUROC and AUPRC then take
-per-group positive and negative counts (``np.bincount``) and finish with a
-cumsum over the groups, O(n log n) for the sort and O(n) after it. Both
-accept a ``TieGroups`` view and per-sample integer ``weights``, so a
-bootstrap resample is scored as the multiplicity of each sample instead of
-a new list; the counts stay integer-valued floats, so the result equals
-the metric on the expanded list bit for bit. Average ranks come from the
+``np.unique`` and each value gets its group. AUROC and AUPRC put sample i
+in bin 2 * group + label and count rows of sample indices with one
+``np.bincount``: the identity row for the metric itself, one row per
+resample in the bootstrap. Each row's per-group positive and negative
+counts are whole numbers and finish with a cumsum over the groups, so a
+resample's value equals the metric on the resampled list bit for bit;
+O(n log n) for the sort and O(n) after it. Average ranks come from the
 cumsum of group sizes, and Kendall counts discordant pairs by merge sort
 (Knight 1966), O(n log n). Bootstrap resample i draws its index sequence
 from ``numpy.random.default_rng([seed, i])``, which is the documented
 contract reference implementations may rely on. ``bootstrap_pass`` draws
 each resample once for AUROC and AUPRC together and scores a chunk of
-resamples at a time as rows of counts.
+resamples at a time.
 """
 from __future__ import annotations
 
@@ -99,39 +99,22 @@ def _average_ranks(values):
     return ((2 * ends - counts + 1) / 2.0)[group]
 
 
-@dataclass(frozen=True)
-class TieGroups:
-    """Scored samples grouped by tied score, the view auroc/auprc count on.
-
-    ``group[i]`` is sample i's tie group, numbered in ascending score order;
-    ``label[i]`` its label. Build it once with ``TieGroups.of`` and pass
-    per-sample weights to score any resample of the same samples.
-    """
-
-    group: np.ndarray
-    label: np.ndarray
-    n_groups: int
-
-    @classmethod
-    def of(cls, samples):
-        group, counts = _tie_groups([s.score for s in samples])
-        label = np.array([s.label for s in samples], dtype=float)
-        return cls(group=group, label=label, n_groups=len(counts))
+def _sample_bins(samples):
+    """(bin of each sample, number of tie groups): sample i falls in bin
+    2 * group + label, its tie group numbered in ascending score order."""
+    group, counts = _tie_groups([s.score for s in samples])
+    label = np.array([s.label for s in samples], dtype=np.intp)
+    return 2 * group + label, len(counts)
 
 
-def _group_counts(samples, weights):
-    """(positives, negatives) per tie group, each sample counted by weight."""
-    view = samples if isinstance(samples, TieGroups) else TieGroups.of(samples)
-    if weights is None:
-        weights = np.ones(len(view.label))
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != view.label.shape:
-        raise InvariantViolation(
-            f"{weights.shape} weights for {len(view.label)} samples")
-    pos = np.bincount(view.group, weights=weights * view.label,
-                      minlength=view.n_groups)
-    total = np.bincount(view.group, weights=weights, minlength=view.n_groups)
-    return pos, total - pos
+def _count_rows(bins, n_groups, idx):
+    """(positives, negatives) per tie group for each row of ``idx``, an
+    (r, m) array of sample indices: one ``np.bincount`` over every row."""
+    rows, n_bins = len(idx), 2 * n_groups
+    row_bins = bins[idx] + n_bins * np.arange(rows)[:, None]
+    counts = np.bincount(row_bins.ravel(), minlength=rows * n_bins)
+    counts = counts.reshape(rows, n_groups, 2)
+    return counts[..., 1], counts[..., 0]
 
 
 def _auroc_rows(pos, neg):
@@ -162,29 +145,32 @@ def _auprc_rows(pos, neg):
     return np.cumsum(terms, axis=1)[:, -1], n_pos > 0
 
 
-def auroc(samples, weights=None):
-    """P(score_pos > score_neg) + 0.5 P(score_pos = score_neg).
+# name -> the metric on each row of per-group counts
+_ROW_METRICS = {"auroc": _auroc_rows, "auprc": _auprc_rows}
 
-    ``samples`` is a sequence of ``ScoredSample`` or a ``TieGroups``;
-    ``weights`` counts sample i ``weights[i]`` times, a whole number
-    (default once each).
-    """
-    pos, neg = _group_counts(samples, weights)
+
+def _value(name, bins, n_groups, idx):
+    """Metric ``name`` on the samples of ``idx``, one (1, m) index row;
+    raises where the metric is undefined."""
+    pos, neg = _count_rows(bins, n_groups, idx)
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClass(f"{n_pos} positives, {n_neg} negatives")
-    return float(_auroc_rows(pos[None], neg[None])[0][0])
-
-
-def auprc(samples, weights=None):
-    """Average precision with tied scores collapsed into one threshold.
-
-    Takes the same ``samples`` and ``weights`` as ``auroc``.
-    """
-    pos, neg = _group_counts(samples, weights)
-    if not pos.any():
+    if name == "auprc" and n_pos == 0:
         raise NoPositives("no positive samples")
-    return float(_auprc_rows(pos[None], neg[None])[0][0])
+    if name == "auroc" and (n_pos == 0 or n_neg == 0):
+        raise SingleClass(f"{n_pos} positives, {n_neg} negatives")
+    return float(_ROW_METRICS[name](pos, neg)[0][0])
+
+
+def auroc(samples):
+    """P(score_pos > score_neg) + 0.5 P(score_pos = score_neg)."""
+    bins, n_groups = _sample_bins(samples)
+    return _value("auroc", bins, n_groups, np.arange(len(bins))[None])
+
+
+def auprc(samples):
+    """Average precision with tied scores collapsed into one threshold."""
+    bins, n_groups = _sample_bins(samples)
+    return _value("auprc", bins, n_groups, np.arange(len(bins))[None])
 
 
 _MAX_REDRAWS = 100
@@ -193,17 +179,14 @@ _MAX_REDRAWS = 100
 _CHUNK = 16
 
 
-# name -> (per-resample metric, row-wise form of it)
-_BOOTSTRAPPED = {"auroc": (auroc, _auroc_rows), "auprc": (auprc, _auprc_rows)}
-
-
-def _redraw(metric, view, rng, m):
-    """``metric`` on the first of ``rng``'s next resamples where it is
+def _redraw(name, bins, n_groups, rng):
+    """Metric ``name`` on the first of ``rng``'s next resamples where it is
     defined; raises after ``_MAX_REDRAWS`` undefined ones."""
+    m = len(bins)
     for attempt in range(1, _MAX_REDRAWS + 1):
-        weights = np.bincount(rng.integers(0, m, size=m), minlength=m)
         try:
-            return metric(view, weights=weights)
+            return _value(name, bins, n_groups,
+                          rng.integers(0, m, size=m)[None])
         except (SingleClass, NoPositives):
             if attempt == _MAX_REDRAWS:
                 raise
@@ -226,31 +209,25 @@ def bootstrap_pass(samples, names, n=10, seed=0):
     if not samples:
         raise EmptyInput("no samples")
     m = len(samples)
-    view = TieGroups.of(samples)
-    n_bins = 2 * view.n_groups
-    sample_bin = 2 * view.group + view.label.astype(np.intp)
+    bins, n_groups = _sample_bins(samples)
     values = {name: np.empty(n) for name in names}
     failed = {}
     for start in range(0, n, _CHUNK):
         rngs = [np.random.default_rng([seed, i])
                 for i in range(start, min(start + _CHUNK, n))]
-        rows = len(rngs)
         idx = np.array([rng.integers(0, m, size=m) for rng in rngs])
-        bins = sample_bin[idx] + n_bins * np.arange(rows)[:, None]
-        counts = np.bincount(bins.ravel(), minlength=rows * n_bins)
-        counts = counts.reshape(rows, view.n_groups, 2)
-        neg, pos = counts[..., 0], counts[..., 1]
+        pos, neg = _count_rows(bins, n_groups, idx)
         for name in names:
             if name in failed:
                 continue
-            metric, score_rows = _BOOTSTRAPPED[name]
-            scores, defined = score_rows(pos, neg)
+            scores, defined = _ROW_METRICS[name](pos, neg)
             try:
                 for r in np.flatnonzero(~defined):
-                    scores[r] = _redraw(metric, view, copy.deepcopy(rngs[r]), m)
+                    scores[r] = _redraw(name, bins, n_groups,
+                                        copy.deepcopy(rngs[r]))
             except (SingleClass, NoPositives) as exc:
                 failed[name] = exc
-            values[name][start:start + rows] = scores
+            values[name][start:start + len(rngs)] = scores
     return {name: failed[name] if name in failed else BootstrapResult(
                 mean=float(values[name].mean()), std=float(values[name].std()),
                 n_resamples=n, seed=seed)

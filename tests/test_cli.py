@@ -192,6 +192,10 @@ BAD_CONFIGS = [
     ("data.labels", lambda c: c["data"].update(labels=c["data"]["catalog"])),
     # no resamples: the report's mean and std would be NaN
     ("bootstrap.n", lambda c: c["bootstrap"].update(n=0)),
+    # numpy.random.default_rng takes no negative seed: a traceback, and for
+    # the bootstrap one after every endpoint request was sent
+    ("bootstrap.seed", lambda c: c["bootstrap"].update(seed=-1)),
+    ("split.seed", lambda c: c["split"].update(seed=-1)),
     # every request would fail, or the first retry's sleep would raise
     ("endpoint.max_retries", lambda c: c["endpoint"].update(max_retries=-1)),
     ("endpoint.timeout", lambda c: c["endpoint"].update(timeout=0)),
@@ -481,6 +485,15 @@ class TestEvalIcd:
                   "--output-dir", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert "--ks" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_exits_2(self, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-icd", "--order-file", self.ORDER, "--ks", "2,3",
+                  "--seed", seed, "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_order_file(self, tmp_path, capsys):

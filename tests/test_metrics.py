@@ -11,7 +11,6 @@ from ehrbench import errors, metrics
 from ehrbench.metrics import (
     ScoredSample,
     SimilarityPair,
-    TieGroups,
     _average_ranks,
     auprc,
     auroc,
@@ -111,6 +110,33 @@ class TestAuprc:
         assert auprc(samples) == pytest.approx(0.3)
 
 
+def _odd_one_out(odd):
+    """Twenty samples of label 1 - odd at scores 0, 0.1 and 0.2, and one of
+    label ``odd`` at 0.15, between them."""
+    return [ScoredSample("odd", 0.15, odd)] + [
+        ScoredSample(f"s{i}", 0.1 * (i % 3), 1 - odd) for i in range(20)]
+
+
+def _reference_bootstrap(metric, samples, n, seed):
+    """The bootstrap as a loop over resampled lists: (mean, std, number of
+    redraws), or (error type, message) of a resample whose redraws ran out.
+    """
+    values, redraws = [], 0
+    for i in range(n):
+        r = np.random.default_rng([seed, i])
+        for _ in range(1 + metrics._MAX_REDRAWS):
+            idx = r.integers(0, len(samples), size=len(samples))
+            try:
+                values.append(metric([samples[j] for j in idx]))
+                break
+            except (errors.SingleClass, errors.NoPositives) as exc:
+                error = (type(exc), str(exc))
+            redraws += 1
+        else:
+            return error
+    return float(np.mean(values)), float(np.std(values)), redraws
+
+
 class TestBootstrap:
     def test_constant_metric_zero_std(self):
         samples = [ScoredSample(f"s{i}", 0.5, i % 2) for i in range(20)]
@@ -149,31 +175,43 @@ class TestBootstrap:
 
     @pytest.mark.parametrize("metric", [auroc, auprc],
                              ids=["auroc", "auprc"])
-    @pytest.mark.parametrize("cohort", ["random", "one_positive"])
+    @pytest.mark.parametrize("cohort",
+                             ["random", "one_positive", "one_negative"])
     def test_equals_per_resample_reference_loop(self, metric, cohort):
         if cohort == "random":
             samples = random_scored_samples(np.random.default_rng(78), n=40)
         else:
-            # resamples often lose the positive: auprc redraws on
-            # NoPositives, auroc on SingleClass
-            samples = [ScoredSample("p", 0.9, 1)] + [
-                ScoredSample(f"n{i}", 0.1 * (i % 3), 0) for i in range(20)]
-        usable = {1}.issubset if metric is auprc else {0, 1}.issubset
-        values, redraws = [], 0
-        for i in range(25):
-            r = np.random.default_rng([6, i])
-            while True:
-                idx = r.integers(0, len(samples), size=len(samples))
-                resample = [samples[j] for j in idx]
-                if usable({s.label for s in resample}):
-                    break
-                redraws += 1
-            values.append(metric(resample))
+            # the odd sample scores between the others, so every resample's
+            # value depends on which of them it drew; resamples often lose
+            # it: auprc redraws on NoPositives, auroc on SingleClass
+            samples = _odd_one_out(int(cohort == "one_positive"))
+        mean, std, redraws = _reference_bootstrap(metric, samples, 25, 6)
         result = bootstrap(metric, samples, n=25, seed=6)
-        assert result.mean == float(np.mean(values))
-        assert result.std == float(np.std(values))
-        if cohort == "one_positive":
+        assert result.mean == mean
+        assert result.std == std
+        # scored beside the other metric, each redraws from its own copy
+        shared = bootstrap_pass(samples, ("auroc", "auprc"), n=25, seed=6)
+        assert shared[metric.__name__] == result
+        if cohort == "one_positive" or (cohort, metric) == \
+                ("one_negative", auroc):
             assert redraws > 0
+
+    def test_equals_resampled_lists_on_random_cohorts(self, rng):
+        # small tied cohorts, some with one class only: then the redraws of
+        # a resample run out and both raise the same error
+        for _ in range(300):
+            samples = random_scored_samples(
+                rng, n=int(rng.integers(1, 15)),
+                score_pool=[0.0, 0.25, 0.5, 0.75, 1.0], require_both=False)
+            n, seed = int(rng.integers(1, 20)), int(rng.integers(0, 100))
+            for metric in (auroc, auprc):
+                want = _reference_bootstrap(metric, samples, n, seed)
+                try:
+                    result = bootstrap(metric, samples, n=n, seed=seed)
+                except (errors.SingleClass, errors.NoPositives) as exc:
+                    assert (type(exc), str(exc)) == want
+                else:
+                    assert (result.mean, result.std) == want[:2]
 
     @pytest.mark.parametrize("cohort, n, redrawn", [
         ("random", 25, set()),
@@ -190,16 +228,13 @@ class TestBootstrap:
         else:
             # the odd sample scores between the others, so every resample's
             # value depends on which of them it drew
-            odd = int(cohort == "one_positive")
-            samples = [ScoredSample("odd", 0.15, odd)] + [
-                ScoredSample(f"s{i}", 0.1 * (i % 3), 1 - odd)
-                for i in range(20)]
+            samples = _odd_one_out(int(cohort == "one_positive"))
         seen = set()
         redraw = metrics._redraw
 
-        def counted(metric, *args):
-            seen.add(metric.__name__)
-            return redraw(metric, *args)
+        def counted(name, *args):
+            seen.add(name)
+            return redraw(name, *args)
 
         monkeypatch.setattr(metrics, "_redraw", counted)
         shared = bootstrap_pass(samples, ("auroc", "auprc"), n=n, seed=6)
@@ -209,34 +244,6 @@ class TestBootstrap:
             got = shared[metric.__name__]
             assert (got.mean, got.std, got.n_resamples) == \
                 (alone.mean, alone.std, n)
-
-
-def _outcome(metric, samples, **kwargs):
-    try:
-        return metric(samples, **kwargs)
-    except (errors.SingleClass, errors.NoPositives) as exc:
-        return type(exc)
-
-
-class TestWeights:
-    def test_weights_equal_the_expanded_list(self, rng):
-        for _ in range(300):
-            samples = random_scored_samples(
-                rng, n=int(rng.integers(1, 15)),
-                score_pool=[0.0, 0.25, 0.5, 0.75, 1.0], require_both=False)
-            weights = rng.integers(0, 4, size=len(samples))
-            expanded = [s for s, k in zip(samples, weights)
-                        for _ in range(k)]
-            view = TieGroups.of(samples)
-            for metric in (auroc, auprc):
-                want = _outcome(metric, expanded)
-                assert _outcome(metric, view, weights=weights) == want
-                assert _outcome(metric, samples, weights=weights) == want
-
-    def test_weight_count_must_match(self):
-        samples = [ScoredSample("a", 0.9, 1), ScoredSample("b", 0.1, 0)]
-        with pytest.raises(errors.InvariantViolation):
-            auroc(samples, weights=[1, 1, 1])
 
 
 def pearson_oracle(xs, ys):
