@@ -5,7 +5,8 @@ A run is described by one JSON config with sections {label, data, split,
 prompt, endpoint, bootstrap, decode, output_dir}; an unknown, missing or
 mistyped key stops the run before any data is read. The config is
 fingerprinted (sha256 of its key-sorted JSON) and echoed into every report so
-results stay attributable. Report writes are atomic (temp file + rename).
+results stay attributable. One writer makes every report: atomic writes
+(temp file + rename), and strict JSON with an undefined value as null.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -203,44 +205,40 @@ class RunPlan:
                                     icl_examples=examples)
 
 
-def _atomic_write(path, content):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def _write_json(path, payload):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path, header, rows):
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+def _write_report(out_dir, stem, report, header, rows, transcript=None):
+    """Create ``out_dir`` and atomically write ``<stem>.json`` (strict JSON:
+    every NaN, an undefined value, as null), ``<stem>.csv`` (``header``,
+    then ``rows``) and, if given, the ``transcript.jsonl`` text."""
+    table = io.StringIO()
+    writer = csv.writer(table)
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    files = {f"{stem}.json": json.dumps(_nan_to_null(report), indent=2,
+                                        sort_keys=True, allow_nan=False) + "\n",
+             f"{stem}.csv": table.getvalue()}
+    if transcript is not None:
+        files["transcript.jsonl"] = transcript
+    os.makedirs(out_dir, exist_ok=True)
+    for name, content in files.items():
+        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(content)
+            os.replace(tmp, os.path.join(out_dir, name))
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
 
-def _json_num(x):
-    """NaN (an undefined value) as None, since JSON has no NaN."""
-    return None if isinstance(x, float) and math.isnan(x) else x
-
-
-def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return x
+def _nan_to_null(value):
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _nan_to_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_nan_to_null(v) for v in value]
+    return value
 
 
 def _decode(raw_results):
@@ -297,15 +295,25 @@ REPORT_COLUMNS = ["label", "fingerprint", "n_test", "n_decoded",
                   "auprc_mean", "auprc_std"]
 
 
-def _report_row(report):
-    """One ``REPORT_COLUMNS`` row of a predict report."""
-    rate = report.get("missing_rate", {})
-    scores = report.get("metrics", {})
+def _report_row(report, path):
+    """One ``REPORT_COLUMNS`` row of the predict report at ``path``; each
+    part it reads must be a JSON object."""
+    def part(where, value):
+        if not isinstance(value, dict):
+            raise InvariantViolation(
+                f"report {path}: {where} must be a JSON object, "
+                f"got {type(value).__name__}")
+        return value
+
+    rate = part("missing_rate", part("report", report).get("missing_rate", {}))
+    scores = part("metrics", report.get("metrics", {}))
+    stats = {name: part(f"metrics.{name}", scores.get(name, {}))
+             for name in ("auroc", "auprc")}
     return [report.get("label", ""), report.get("fingerprint", ""),
             rate.get("n_test", ""), rate.get("n_decoded", ""),
             rate.get("percent", ""),
-            *(_fmt(scores.get(name, {}).get(stat))
-              for name in ("auroc", "auprc") for stat in ("mean", "std"))]
+            *(stats[name].get(stat) for name in stats
+              for stat in ("mean", "std"))]
 
 
 def cmd_predict(args):
@@ -322,9 +330,6 @@ def cmd_predict(args):
     metric_results = _score(outcomes, test, plan.config.bootstrap)
 
     out_dir = plan.raw["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "transcript.jsonl"),
-                  _transcript(outcomes, rendered))
     report = {
         "label": plan.raw.get("label", ""),
         "fingerprint": config_fingerprint(plan.raw),
@@ -340,9 +345,9 @@ def cmd_predict(args):
         "n_errors": n_errors,
         "timing": {"seconds": time.monotonic() - t0},
     }
-    _write_json(os.path.join(out_dir, "report.json"), report)
-    _write_csv(os.path.join(out_dir, "report.csv"), REPORT_COLUMNS,
-               [_report_row(report)])
+    _write_report(out_dir, "report", report, REPORT_COLUMNS,
+                  [_report_row(report, os.path.join(out_dir, "report.json"))],
+                  transcript=_transcript(outcomes, rendered))
     error_frac = n_errors / len(outcomes) if outcomes else 0.0
     if error_frac > args.max_error_frac:
         print(f"error fraction {error_frac:.3f} exceeds "
@@ -382,9 +387,9 @@ def _load_sentence_pairs(path):
 
 
 def _load_embedding_file(path, key="text"):
-    """JSONL of {key: ..., "embedding": [...]} -> dict.
+    """JSONL of {key: ..., "embedding": [...]} -> {key: float64 row}.
 
-    Every embedding passes ``gateway.vector_error``, as long as the first
+    Every embedding passes ``gateway.embedding_row``, as long as the first
     line's.
     """
     table = {}
@@ -393,11 +398,12 @@ def _load_embedding_file(path, key="text"):
         if not isinstance(obj.get(key), str) or "embedding" not in obj:
             raise ParseError(
                 f'expected a string "{key}" and an "embedding"', line=lineno)
-        problem = gateway.vector_error(obj["embedding"], dim)
-        if problem:
-            raise ParseError(f'"embedding" {problem}', line=lineno)
-        dim = len(obj["embedding"])
-        table[obj[key]] = obj["embedding"]
+        try:
+            row = gateway.embedding_row(obj["embedding"], dim)
+        except ValueError as exc:
+            raise ParseError(f'"embedding" {exc}', line=lineno) from None
+        dim = row.size
+        table[obj[key]] = row
     return table
 
 
@@ -411,7 +417,7 @@ def _embeddings(args, keys, texts, key):
             raise InvariantViolation(
                 f"{len(missing)} of {len(keys)} {key}s lack embeddings, "
                 f"e.g. {missing[0]!r}")
-        return np.array([table[k] for k in keys], dtype=float)
+        return np.stack([table[k] for k in keys])
     return gateway.embed(texts, gateway.EndpointConfig(
         base_url=args.base_url, model_name=args.model))
 
@@ -427,17 +433,12 @@ def cmd_eval_sentences(args):
         for s1, s2, g in raw_pairs
     ]
     grid = metrics.sentence_matching_eval(pairs)
-    os.makedirs(args.output_dir, exist_ok=True)
-    _write_json(os.path.join(args.output_dir, "report.json"),
-                {"n_pairs": len(pairs), "grid": grid})
-    rows = [
-        [measure, row["pearson_distance"], row["pearson"], row["spearman"],
-         row["kendall"]]
-        for measure, row in grid.items()
-    ]
-    _write_csv(os.path.join(args.output_dir, "report.csv"),
-               ["measure", "pearson_distance", "pearson", "spearman",
-                "kendall"], rows)
+    columns = ["pearson_distance", "pearson", "spearman", "kendall"]
+    _write_report(args.output_dir, "report",
+                  {"n_pairs": len(pairs), "grid": grid},
+                  ["measure", *columns],
+                  [[measure, *(row[c] for c in columns)]
+                   for measure, row in grid.items()])
     print(f"wrote {args.output_dir}/report.json ({len(pairs)} pairs)")
     return 0
 
@@ -451,77 +452,62 @@ def cmd_eval_icd(args):
         key="code")
     result = icd.hierarchy_benchmark(tree, codes, embeddings, ks=args.ks,
                                      seed=args.seed)
-    os.makedirs(args.output_dir, exist_ok=True)
-    _write_json(os.path.join(args.output_dir, "report.json"), {
+    per_k = result["per_k"]
+    _write_report(args.output_dir, "report", {
         "n_codes": len(codes),
         "seed": args.seed,
-        "per_k": {str(k): _json_num(v) for k, v in result["per_k"].items()},
-        "mean": _json_num(result["mean"]),
-    })
-    rows = [[k, _fmt(v)] for k, v in result["per_k"].items()]
-    rows.append(["mean", _fmt(result["mean"])])
-    _write_csv(os.path.join(args.output_dir, "report.csv"),
-               ["k", "avg_code_distance"], rows)
+        "per_k": {str(k): v for k, v in per_k.items()},
+        "mean": result["mean"],
+    }, ["k", "avg_code_distance"],
+        [*per_k.items(), ("mean", result["mean"])])
     print(f"wrote {args.output_dir}/report.json ({len(codes)} codes)")
     return 0
 
 
 def _load_report(path):
-    """A predict ``report.json``; each part ``_report_row`` reads must be a
-    JSON object."""
+    """A ``report.json`` as JSON; ``NaN`` or ``Infinity`` is rejected."""
+    def non_finite(token):
+        raise ParseError(f"report {path} holds {token}, which is not a "
+                         "finite number")
+
     with open(path, encoding="utf-8") as fh:
         try:
-            report = json.load(fh)
+            return json.load(fh, parse_constant=non_finite)
         except ValueError as exc:
             raise ParseError(f"report {path} is not valid JSON: {exc}") \
                 from None
-    parts = {"report": report}
-    if isinstance(report, dict):
-        parts["missing_rate"] = report.get("missing_rate", {})
-        parts["metrics"] = scores = report.get("metrics", {})
-        if isinstance(scores, dict):
-            parts.update((f"metrics.{name}", scores.get(name, {}))
-                         for name in ("auroc", "auprc"))
-    for where, value in parts.items():
-        if not isinstance(value, dict):
-            raise InvariantViolation(
-                f"report {path}: {where} must be a JSON object, "
-                f"got {type(value).__name__}")
-    return report
 
 
 def cmd_report_merge(args):
     merged = [_load_report(path) for path in args.reports]
-    os.makedirs(args.output_dir, exist_ok=True)
-    _write_json(os.path.join(args.output_dir, "merged.json"), merged)
-    _write_csv(os.path.join(args.output_dir, "merged.csv"), REPORT_COLUMNS,
-               [_report_row(report) for report in merged])
+    rows = [_report_row(report, path)
+            for report, path in zip(merged, args.reports)]
+    _write_report(args.output_dir, "merged", merged, REPORT_COLUMNS, rows)
     print(f"wrote {args.output_dir}/merged.csv ({len(merged)} reports)")
     return 0
 
 
-def _ks(text):
-    """``--ks``: comma-separated distinct integers >= 1."""
-    try:
-        ks = tuple(int(k) for k in text.split(","))
-    except ValueError:
-        ks = ()
-    if not ks or min(ks) < 1 or len(set(ks)) < len(ks):
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated distinct integers >= 1, got {text!r}")
-    return ks
+def _checked(parse, ok, expected):
+    """An argparse type: ``parse(text)`` if that parses and ``ok`` holds,
+    else exit 2 saying what was ``expected``."""
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}")
+        return value
+    return convert
 
 
-def _seed(text):
-    """``--seed``: an integer >= 0, as ``numpy.random.default_rng`` takes."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0, got {text!r}")
-    return seed
+_ks = _checked(lambda text: tuple(int(k) for k in text.split(",")),
+               lambda ks: min(ks) >= 1 and len(set(ks)) == len(ks),
+               "comma-separated distinct integers >= 1")
+# numpy.random.default_rng takes no negative seed
+_seed = _checked(int, lambda seed: seed >= 0, "an integer >= 0")
+_fraction = _checked(float, lambda frac: 0 <= frac <= 1, "a number in [0, 1]")
 
 
 def build_parser():
@@ -533,9 +519,9 @@ def build_parser():
 
     p = sub.add_parser("predict", help="run the full predict pipeline")
     p.add_argument("--config", required=True, help="run config JSON path")
-    p.add_argument("--max-error-frac", type=float, default=0.05,
+    p.add_argument("--max-error-frac", type=_fraction, default=0.05,
                    help="nonzero exit if hard endpoint errors exceed this "
-                        "fraction (default 0.05)")
+                        "fraction, in [0, 1] (default 0.05)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("prompt-preview",

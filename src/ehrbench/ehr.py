@@ -175,7 +175,7 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f < 0 or f > 1 for f in fracs):
+        if not all(0 <= f <= 1 for f in fracs):  # NaN too
             raise InvariantViolation(f"fractions {fracs} outside [0, 1]")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise InvariantViolation(f"fractions {fracs} do not sum to 1")

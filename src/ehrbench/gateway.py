@@ -342,9 +342,10 @@ def _stub_embed(texts, dim):
     return words.reshape(len(texts), 4 * n_blocks)[:, :dim] / 2**63 - 1.0
 
 
-def vector_error(value, dim=None):
-    """Why a JSON value is not an embedding (a non-empty list of finite
-    numbers, ``dim`` long if given), or None if it is one."""
+def embedding_row(value, dim=None):
+    """A JSON value as an embedding: a non-empty list of finite numbers,
+    ``dim`` long if given, returned as a float64 row. ``ValueError`` says
+    why a value is not one."""
     arr = None
     if isinstance(value, list):
         try:
@@ -354,15 +355,15 @@ def vector_error(value, dim=None):
     if arr is None or not (arr.ndim == 1 and arr.size > 0
                            and arr.dtype.kind in "iuf"
                            and np.isfinite(arr).all()):
-        return "must be a non-empty list of finite numbers"
-    if dim is not None and len(value) != dim:
-        return f"has {len(value)} values, the first has {dim}"
-    return None
+        raise ValueError("must be a non-empty list of finite numbers")
+    if dim is not None and arr.size != dim:
+        raise ValueError(f"has {arr.size} values, the first has {dim}")
+    return arr.astype(float, copy=False)
 
 
 def embed(texts, cfg):
     """Embed texts; one row per input, row order = input order. A response
-    whose vectors fail ``vector_error`` raises ``GatewayError``."""
+    whose vectors fail ``embedding_row`` raises ``GatewayError``."""
     if not texts:
         raise EmptyInput("no texts to embed")
     if cfg.is_stub:
@@ -381,11 +382,13 @@ def embed(texts, cfg):
                            '"embedding" per item') from None
     if len(vectors) != len(texts):
         raise GatewayError(f"{len(vectors)} embeddings for {len(texts)} texts")
+    rows = []
     for i, vec in enumerate(vectors):
-        problem = vector_error(vec, len(vectors[0]) if i else None)
-        if problem:
-            raise GatewayError(f"embedding {i} {problem}")
-    return np.asarray(vectors, dtype=float)
+        try:
+            rows.append(embedding_row(vec, rows[0].size if rows else None))
+        except ValueError as exc:
+            raise GatewayError(f"embedding {i} {exc}") from None
+    return np.stack(rows)
 
 
 _REFUSAL = re.compile(r"i\s+do\s+not\s+know", re.IGNORECASE)

@@ -8,7 +8,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from ehrbench.cli import BootstrapSpec, _score, config_fingerprint, main
+from ehrbench.cli import (
+    BootstrapSpec,
+    _load_embedding_file,
+    _score,
+    config_fingerprint,
+    main,
+)
 from ehrbench.gateway import PredictionOutcome
 from ehrbench.prompts import task_instruction
 from ehrbench.synthetic import (
@@ -50,6 +56,15 @@ def write_run_config(tmp_path, *, model_name="echo-0.5", n_patients=30,
 def load_report(tmp_path):
     with open(tmp_path / "out" / "report.json") as fh:
         return json.load(fh)
+
+
+def strict_json(path):
+    """Parse a JSON file that must not hold a bare NaN or Infinity."""
+    def no_constants(name):
+        raise AssertionError(f"{path} holds bare {name}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=no_constants)
 
 
 class TestFingerprint:
@@ -141,6 +156,16 @@ class TestPredict:
                      "--max-error-frac", "1.0"])
         assert code == 0
 
+    @pytest.mark.parametrize("frac", ["nan", "inf", "-0.1", "1.5", "x"])
+    def test_bad_max_error_frac_exits_2(self, tmp_path, capsys, frac):
+        config_path, _ = write_run_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--config", str(config_path),
+                  "--max-error-frac", frac])
+        assert exc.value.code == 2
+        assert "--max-error-frac" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_path_rejected(self, tmp_path):
         config_path, config = write_run_config(tmp_path)
         config["data"]["cohort"] = str(tmp_path / "nope.jsonl")
@@ -219,6 +244,8 @@ BAD_CONFIGS = [
      lambda c: c["endpoint"].update(temperature=float("inf"))),
     ("endpoint.backoff_base must be finite",
      lambda c: c["endpoint"].update(backoff_base=float("inf"))),
+    # a NaN fraction passed every comparison and crashed the split
+    ("outside [0, 1]", lambda c: c["split"].update(train_frac=float("nan"))),
 ]
 
 
@@ -406,6 +433,12 @@ class TestEvalSentences:
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_embedding_file_keeps_float64_rows(self, tmp_path):
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text('{"text": "a", "embedding": [1, 2.5]}\n')
+        (row,) = _load_embedding_file(str(emb)).values()
+        assert row.dtype == "float64" and row.tolist() == [1.0, 2.5]
+
     def test_malformed_row(self, tmp_path, capsys):
         path = tmp_path / "pairs.tsv"
         path.write_text("only two\tfields\n")
@@ -458,12 +491,7 @@ class TestEvalIcd:
         # 12 codes in 12 clusters: no cluster has a pair, so no value
         assert main(["eval-icd", "--order-file", self.ORDER, "--ks", "12",
                      "--output-dir", str(tmp_path / "out")]) == 0
-
-        def no_constants(name):
-            raise AssertionError(f"report.json holds bare {name}")
-
-        report = json.loads((tmp_path / "out" / "report.json").read_text(),
-                            parse_constant=no_constants)
+        report = strict_json(tmp_path / "out" / "report.json")
         assert report["per_k"] == {"12": None}
         assert report["mean"] is None
         with open(tmp_path / "out" / "report.csv") as fh:
@@ -547,6 +575,13 @@ BAD_REPORTS = {
     "missing_rate_list": ('{"missing_rate": []}', "missing_rate must"),
     "metrics_number": ('{"metrics": 3}', "metrics must"),
     "auroc_number": ('{"metrics": {"auroc": 0.5}}', "metrics.auroc must"),
+    "auprc_list": ('{"metrics": {"auprc": []}}', "metrics.auprc must"),
+    # JSON has no such numbers; merged.json could not carry them
+    "nan": ('{"metrics": {"auroc": {"mean": NaN}}}', "holds NaN"),
+    "infinity": ('{"metrics": {"auroc": {"std": Infinity}}}',
+                 "holds Infinity"),
+    "minus_infinity": ('{"missing_rate": {"percent": -Infinity}}',
+                       "holds -Infinity"),
 }
 
 
@@ -560,6 +595,57 @@ def test_report_merge_malformed_report_exits_2(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
     assert not (tmp_path / "merged").exists()
+
+
+def _predict_outputs(tmp_path):
+    config_path, _ = write_run_config(tmp_path)
+    assert main(["predict", "--config", str(config_path)]) == 0
+    return tmp_path / "out"
+
+
+def _merge_outputs(tmp_path):
+    report = _predict_outputs(tmp_path) / "report.json"
+    out = tmp_path / "merged"
+    assert main(["report-merge", str(report), str(report),
+                 "--output-dir", str(out)]) == 0
+    return out
+
+
+def _command_outputs(*argv):
+    def run(tmp_path):
+        out = tmp_path / "out"
+        assert main([*argv, "--output-dir", str(out)]) == 0
+        return out
+    return run
+
+
+def _sentences_outputs(tmp_path):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("".join(f"a{i}\tb{i}\t{i}\n" for i in range(4)))
+    return _command_outputs("eval-sentences", "--pairs", str(pairs),
+                            "--model", "hash-embed-8")(tmp_path)
+
+
+# command -> a function that runs it in tmp_path, returning its output dir
+REPORT_COMMANDS = {
+    "predict": _predict_outputs,
+    "eval-sentences": _sentences_outputs,
+    "eval-icd": _command_outputs("eval-icd", "--order-file", TestEvalIcd.ORDER,
+                                 "--ks", "2,3", "--model", "hash-embed-8"),
+    # no cluster holds a pair: every value is undefined
+    "eval-icd-all-singletons": _command_outputs(
+        "eval-icd", "--order-file", TestEvalIcd.ORDER, "--ks", "12"),
+    "report-merge": _merge_outputs,
+}
+
+
+@pytest.mark.parametrize("name", REPORT_COMMANDS)
+def test_every_json_report_is_strict_json(tmp_path, name):
+    out = REPORT_COMMANDS[name](tmp_path)
+    written = sorted(out.glob("*.json"))
+    assert written
+    for path in written:
+        strict_json(path)
 
 
 def _non_utf8(path):
