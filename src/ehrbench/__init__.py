@@ -1,16 +1,3 @@
 """Model-agnostic benchmarking harness for LLMs on structured EHR tasks."""
 
-from . import cli, ehr, errors, gateway, icd, metrics, prompts, synthetic
-
-__all__ = [
-    "cli",
-    "ehr",
-    "errors",
-    "gateway",
-    "icd",
-    "metrics",
-    "prompts",
-    "synthetic",
-]
-
 __version__ = "0.1.0"

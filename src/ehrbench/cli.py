@@ -68,7 +68,8 @@ class DataSpec:
 
     def __post_init__(self):
         if self.task not in ehr.TASKS:
-            raise InvariantViolation(f"task {self.task!r} not in {ehr.TASKS}")
+            raise InvariantViolation(
+                f"data.task must be one of {ehr.TASKS}, got {self.task!r}")
         for p in (self.cohort, self.catalog, self.labels):
             if p is not None and not os.path.exists(p):
                 raise InvariantViolation(
@@ -172,7 +173,8 @@ class RunPlan:
     ``predict`` and ``prompt-preview`` both render through ``render``, so a
     preview is the prompt that is sent. The cohort is split on first use;
     in-context examples come from the train split and are synthesized once
-    per record time kind.
+    for date-stamped records and once for the rest, the one difference in
+    how ``prompts`` lays them out.
     """
 
     def __init__(self, config_path):
@@ -187,19 +189,18 @@ class RunPlan:
     def splits(self):
         return ehr.split_cohort(self.cohort, self.config.split)
 
-    def _examples(self, time_kind):
-        if time_kind not in self._icl_examples:
-            cfg = self.config.prompt
+    def _examples(self, dated):
+        if dated not in self._icl_examples:
             spec = prompts.icl_spec_from_cohort(
                 self.splits.train, seed=self.config.split.seed,
-                time_kind=time_kind)
-            self._icl_examples[time_kind] = prompts.synthesize_icl_examples(
-                spec, cfg.n_icl_examples, self.catalog)
-        return self._icl_examples[time_kind]
+                time_kind=ehr.TIME_DATE if dated else ehr.TIME_ORDINAL)
+            self._icl_examples[dated] = prompts.synthesize_icl_examples(
+                spec, self.config.prompt.n_icl_examples, self.catalog)
+        return self._icl_examples[dated]
 
     def render(self, record):
         cfg = self.config.prompt
-        examples = (self._examples(record.time_kind)
+        examples = (self._examples(record.time_kind == ehr.TIME_DATE)
                     if cfg.n_icl_examples > 0 else None)
         return prompts.build_prompt(record, self.catalog, cfg,
                                     icl_examples=examples)
@@ -297,7 +298,8 @@ REPORT_COLUMNS = ["label", "fingerprint", "n_test", "n_decoded",
 
 def _report_row(report, path):
     """One ``REPORT_COLUMNS`` row of the predict report at ``path``; each
-    part it reads must be a JSON object."""
+    part it reads must be a JSON object, and the keys that only a predict
+    report has must be present."""
     def part(where, value):
         if not isinstance(value, dict):
             raise InvariantViolation(
@@ -309,7 +311,11 @@ def _report_row(report, path):
     scores = part("metrics", report.get("metrics", {}))
     stats = {name: part(f"metrics.{name}", scores.get(name, {}))
              for name in ("auroc", "auprc")}
-    return [report.get("label", ""), report.get("fingerprint", ""),
+    for key in ("fingerprint", "missing_rate", "metrics"):
+        if key not in report:
+            raise InvariantViolation(
+                f"report {path}: key {key} is required in a predict report")
+    return [report.get("label", ""), report["fingerprint"],
             rate.get("n_test", ""), rate.get("n_decoded", ""),
             rate.get("percent", ""),
             *(stats[name].get(stat) for name in stats

@@ -32,12 +32,21 @@ SEXES = ("male", "female", "unknown")
 TASKS = ("mortality", "readmission")
 
 
-def _infer_time_kind(visit_times):
-    if all(isinstance(t, str) for t in visit_times):
-        return TIME_DATE
-    if all(isinstance(t, int) and not isinstance(t, bool) for t in visit_times):
-        return TIME_ORDINAL
-    return TIME_HOURS
+def _time_keys(patient_id, visit_times):
+    """Keys that sort ``visit_times`` into time order: an ISO date as a
+    date, a number as itself. One record's times are all dates or all
+    numbers."""
+    n_dates = sum(isinstance(t, str) for t in visit_times)
+    if n_dates == 0:
+        return list(visit_times)
+    if n_dates < len(visit_times):
+        raise InvariantViolation(
+            f"record {patient_id}: visit_times mix ISO dates and numbers")
+    try:
+        return [date.fromisoformat(t) for t in visit_times]
+    except ValueError as exc:
+        raise InvariantViolation(
+            f"record {patient_id}: bad date: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -48,18 +57,12 @@ class PatientRecord:
     visit_times: tuple
     features: dict
     label: int | None = None
-    time_kind: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "visit_times", tuple(self.visit_times))
         object.__setattr__(
             self, "features", {k: tuple(v) for k, v in self.features.items()}
         )
-        if self.time_kind is None:
-            object.__setattr__(self, "time_kind", _infer_time_kind(self.visit_times))
-        self.validate()
-
-    def validate(self):
         pid = self.patient_id
         if self.sex not in SEXES:
             raise InvariantViolation(f"record {pid}: sex {self.sex!r} not in {SEXES}")
@@ -72,18 +75,20 @@ class PatientRecord:
                     f"record {pid}: feature {fid} has {len(series)} slots "
                     f"for {n} visits"
                 )
-        times = self.visit_times
-        if self.time_kind == TIME_DATE:
-            try:
-                keys = [date.fromisoformat(t) for t in times]
-            except ValueError as exc:
-                raise InvariantViolation(f"record {pid}: bad date: {exc}") from exc
-        else:
-            keys = list(times)
+        keys = _time_keys(pid, self.visit_times)
         if any(b < a for a, b in zip(keys, keys[1:])):
             raise InvariantViolation(f"record {pid}: visit_times decrease")
         if self.label is not None and self.label not in (0, 1):
             raise InvariantViolation(f"record {pid}: label {self.label!r} not in {{0,1}}")
+
+    @property
+    def time_kind(self):
+        if all(isinstance(t, str) for t in self.visit_times):
+            return TIME_DATE
+        if all(isinstance(t, int) and not isinstance(t, bool)
+               for t in self.visit_times):
+            return TIME_ORDINAL
+        return TIME_HOURS
 
     @property
     def n_visits(self):
@@ -138,12 +143,9 @@ class FeatureCatalog:
 class Cohort:
     records: tuple
     catalog: FeatureCatalog
-    task: str
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
-        if self.task not in TASKS:
-            raise InvariantViolation(f"task {self.task!r} not in {TASKS}")
         seen = set()
         for rec in self.records:
             if rec.patient_id in seen:
@@ -293,7 +295,8 @@ def _load_long_csv(path, catalog, task, labels_path):
         visits.setdefault(t, {})[fid] = cell
     records = []
     for pid, visits in per_patient.items():
-        times = sorted(visits, key=lambda t: (date.fromisoformat(t) if isinstance(t, str) else t))
+        key = dict(zip(visits, _time_keys(pid, visits)))
+        times = sorted(visits, key=key.get)
         fids = []
         for t in times:
             for fid in visits[t]:
@@ -400,7 +403,7 @@ def load_cohort(path, catalog, task, labels_path=None):
         records = _load_long_csv(path, catalog, task, labels_path)
     else:
         records = _load_jsonl(path, catalog, task)
-    return Cohort(records=tuple(records), catalog=catalog, task=task)
+    return Cohort(records=tuple(records), catalog=catalog)
 
 
 def locf_series(series):
@@ -467,7 +470,6 @@ def split_cohort(cohort, spec):
         Cohort(
             records=tuple(cohort.records[i] for i in sorted(part)),
             catalog=cohort.catalog,
-            task=cohort.task,
         )
         for part in parts
     )

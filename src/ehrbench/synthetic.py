@@ -23,7 +23,6 @@ _BASELINES = {"hr": 80.0, "sbp": 120.0, "spo2": 97.0, "glu": 95.0,
 _LABEL_SHIFT = {"hr": 15.0, "sbp": -12.0, "spo2": -4.0, "glu": 20.0,
                 "temp": 0.8}
 
-TASK = "mortality"
 POSITIVE_FRAC = 0.3
 MIN_VISITS, MAX_VISITS = 2, 6
 MISSING_FRAC = 0.1  # chance that one cell is missing
@@ -72,8 +71,7 @@ def synthetic_cohort(n_patients=40, seed=0):
         )
     # interleave labels so any contiguous slice keeps both classes around
     order = rng.permutation(len(records))
-    return Cohort(records=tuple(records[i] for i in order), catalog=catalog,
-                  task=TASK)
+    return Cohort(records=tuple(records[i] for i in order), catalog=catalog)
 
 
 def write_catalog_csv(catalog, path):

@@ -1,3 +1,4 @@
+import collections
 import csv
 import hashlib
 import json
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from ehrbench import prompts
 from ehrbench.cli import (
     BootstrapSpec,
     _load_embedding_file,
@@ -204,6 +206,7 @@ def test_score_reports_auroc_error_beside_auprc():
 # (config key the message must name, edit that breaks it)
 BAD_CONFIGS = [
     ("data.task", lambda c: c["data"].pop("task")),
+    ("data.task must be one of", lambda c: c["data"].update(task="triage")),
     ("bootstrap.sed", lambda c: c["bootstrap"].update(sed=1)),
     ("decode.count_unknown",
      lambda c: c.update(decode={"count_unknown": True})),
@@ -306,6 +309,52 @@ def test_malformed_cohort_record_exits_2(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
     assert not (tmp_path / "out").exists()
+
+
+def test_long_csv_patient_mixing_dates_and_numbers_exits_2(tmp_path, capsys):
+    config_path, config = write_run_config(tmp_path)
+    cohort, labels = tmp_path / "cohort.csv", tmp_path / "labels.csv"
+    cohort.write_text("patient_id,visit_time,feature_id,value\n"
+                      "p1,1,hr,80\np1,2020-01-01,hr,81\n")
+    labels.write_text("patient_id,task,label\np1,mortality,1\n")
+    config["data"].update(cohort=str(cohort), labels=str(labels))
+    config_path.write_text(json.dumps(config))
+    assert main(["predict", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: record p1: visit_times mix ISO dates and numbers\n"
+
+
+def test_icl_examples_shared_by_ordinal_and_hour_records(tmp_path, capsys,
+                                                         monkeypatch):
+    """Records stamped with integer and with fractional times get one spec
+    and one synthesis, and each previews as the prompt that was sent."""
+    config_path, _ = write_run_config(
+        tmp_path, prompt_overrides={"n_icl_examples": 2})
+    cohort = tmp_path / "cohort.jsonl"
+    records = [json.loads(line) for line in cohort.read_text().splitlines()]
+    for record in records[::2]:
+        record["visit_times"] = [t + 0.5 for t in record["visit_times"]]
+    cohort.write_text("".join(json.dumps(r) + "\n" for r in records))
+    calls = collections.Counter()
+    for name in ("icl_spec_from_cohort", "synthesize_icl_examples"):
+        def counted(*args, _name=name, _fn=getattr(prompts, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(prompts, name, counted)
+    assert main(["predict", "--config", str(config_path)]) == 0
+    assert calls == {"icl_spec_from_cohort": 1, "synthesize_icl_examples": 1}
+    capsys.readouterr()
+    hours = {record["patient_id"] for record in records[::2]}
+    with open(tmp_path / "out" / "transcript.jsonl") as fh:
+        sent = {entry["sample_id"] in hours: entry
+                for entry in map(json.loads, fh)}
+    assert set(sent) == {False, True}
+    for entry in sent.values():
+        assert main(["prompt-preview", "--config", str(config_path),
+                     "--sample-id", entry["sample_id"]]) == 0
+        text = capsys.readouterr().out[:-1]
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            entry["prompt_sha256"]
 
 
 class TestPromptPreview:
@@ -582,6 +631,9 @@ BAD_REPORTS = {
                  "holds Infinity"),
     "minus_infinity": ('{"missing_rate": {"percent": -Infinity}}',
                        "holds -Infinity"),
+    # not a predict report: its merged row would be nine empty cells
+    "eval_icd": ('{"n_codes": 12, "seed": 0, "per_k": {"2": 1.5}, '
+                 '"mean": 1.5}', "key fingerprint is required"),
 }
 
 
@@ -705,6 +757,20 @@ def test_stub_benchmark_script(tmp_path):
     with open(tmp_path / "merged" / "merged.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["label"] for r in rows] == ["base", "best"]
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    """``python -m ehrbench.cli`` runs a module the package does not import
+    first, so runpy has nothing to warn about."""
+    import ehrbench
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(ehrbench.__file__)))
+    subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ehrbench.cli",
+         "eval-icd", "--order-file", TestEvalIcd.ORDER, "--ks", "2,3",
+         "--model", "hash-embed-8", "--output-dir", str(tmp_path / "out")],
+        env=env, check=True, capture_output=True)
 
 
 @pytest.mark.parametrize("argv", [

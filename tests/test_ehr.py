@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from ehrbench.ehr import (
     TIME_DATE,
     TIME_HOURS,
     TIME_ORDINAL,
-    Cohort,
     PatientRecord,
     SplitSpec,
     load_catalog,
@@ -173,9 +173,67 @@ class TestCohortLoading:
             load_cohort(path, vitals_catalog, "mortality")
         assert err.value.line == 2
 
-    def test_cohort_requires_known_task(self, vitals_catalog):
-        with pytest.raises(errors.InvariantViolation):
-            Cohort(records=(), catalog=vitals_catalog, task="triage")
+    def test_jsonl_labels_object_picks_task(self, tmp_path, vitals_catalog):
+        path = tmp_path / "cohort.jsonl"
+        path.write_text(json.dumps({
+            "patient_id": "p1", "sex": "male", "age": 60, "visit_times": [0],
+            "features": {"hr": [80.0]},
+            "labels": {"mortality": 1, "readmission": 0}}) + "\n")
+        for task, label in (("mortality", 1), ("readmission", 0)):
+            cohort = load_cohort(path, vitals_catalog, task)
+            assert cohort.get("p1").label == label
+
+    @pytest.mark.parametrize("line, error, message", [
+        ('{"patient_id": "p1", "sex": "male", "features": {}}',
+         errors.SchemaMismatch,
+         r"^line 2: missing fields \['age', 'visit_times'\]$"),
+        ('{"patient_id": "p1",', errors.ParseError, "^line 2: "),
+    ], ids=["missing_fields", "not_json"])
+    def test_jsonl_bad_line(self, tmp_path, vitals_catalog, line, error,
+                            message):
+        path = tmp_path / "cohort.jsonl"
+        path.write_text("\n" + line + "\n")
+        with pytest.raises(error, match=message):
+            load_cohort(path, vitals_catalog, "mortality")
+
+
+def load_long_csv(tmp_path, rows, labels="p1,mortality,1\n"):
+    """Load a one-feature long-CSV cohort from its data rows."""
+    cat = tmp_path / "cat.csv"
+    cat.write_text("feature_id,display_name,unit,reference_range,kind\n"
+                   "hr,Heart Rate,,,numeric\n")
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text("patient_id,visit_time,feature_id,value\n" + rows)
+    labels_path = tmp_path / "labels.csv"
+    labels_path.write_text("patient_id,task,label\n" + labels)
+    return load_cohort(cohort, load_catalog(cat), "mortality",
+                       labels_path=labels_path)
+
+
+class TestLongCsv:
+    @pytest.mark.parametrize("cells, times, kind", [
+        (("12.5", "0.5", "3"), (0.5, 3, 12.5), TIME_HOURS),
+        (("2020-03-01", "2019-12-31", "2020-01-02"),
+         ("2019-12-31", "2020-01-02", "2020-03-01"), TIME_DATE),
+    ], ids=["hours", "dates"])
+    def test_visits_in_time_order_whatever_the_row_order(
+            self, tmp_path, cells, times, kind):
+        rows = "".join(f"p1,{t},hr,{i}\n" for i, t in enumerate(cells))
+        p1 = load_long_csv(tmp_path, rows).get("p1")
+        assert p1.visit_times == times
+        assert p1.time_kind == kind
+        assert p1.features["hr"] == tuple(
+            float(cells.index(str(t))) for t in times)
+
+    @pytest.mark.parametrize("rows, labels, error, message", [
+        ("p1,soon,hr,1\n", "p1,mortality,1\n", errors.ParseError,
+         "^line 2: unparseable visit_time 'soon'$"),
+        ("p1,0,hr,1\n", "p1,mortality,yes\n", errors.InvariantViolation,
+         "^labels line 2: label 'yes' not in"),
+    ], ids=["visit_time", "label"])
+    def test_bad_cell(self, tmp_path, rows, labels, error, message):
+        with pytest.raises(error, match=message):
+            load_long_csv(tmp_path, rows, labels)
 
 
 class TestLocf:
