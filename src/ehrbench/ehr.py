@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, replace
 from datetime import date
 
@@ -32,6 +33,18 @@ SEXES = ("male", "female", "unknown")
 TASKS = ("mortality", "readmission")
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _iso_date(text):
+    """``text`` as a date if it is written YYYY-MM-DD, else ValueError.
+    ``date.fromisoformat`` alone accepts more forms (``20200131``,
+    ``2020-W05-5``) from Python 3.11 on than on 3.10."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
+
+
 def _time_keys(patient_id, visit_times):
     """Keys that sort ``visit_times`` into time order: an ISO date as a
     date, a number as itself. One record's times are all dates or all
@@ -43,7 +56,7 @@ def _time_keys(patient_id, visit_times):
         raise InvariantViolation(
             f"record {patient_id}: visit_times mix ISO dates and numbers")
     try:
-        return [date.fromisoformat(t) for t in visit_times]
+        return [_iso_date(t) for t in visit_times]
     except ValueError as exc:
         raise InvariantViolation(
             f"record {patient_id}: bad date: {exc}") from exc
@@ -245,7 +258,7 @@ def _parse_visit_time(token, lineno):
     except ValueError:
         pass
     try:
-        date.fromisoformat(token)
+        _iso_date(token)
         return token
     except ValueError:
         raise ParseError(f"unparseable visit_time {token!r}", line=lineno) from None
@@ -273,24 +286,34 @@ def _parse_label(token, where):
 
 
 def _load_labels(path, task):
-    return {
-        pid: _parse_label(label, f"labels line {lineno}")
-        for lineno, (pid, row_task, label)
-        in _read_csv(path, LABELS_CSV_HEADER, "labels")
-        if row_task == task
-    }
+    labels = {}
+    first_line = {}  # (patient, task) -> line number
+    for lineno, (pid, row_task, label) in _read_csv(path, LABELS_CSV_HEADER,
+                                                    "labels"):
+        seen = first_line.setdefault((pid, row_task), lineno)
+        if seen != lineno:
+            raise InvariantViolation(f"labels line {lineno}: patient {pid}: "
+                                     f"task {row_task} repeats line {seen}")
+        if row_task == task:
+            labels[pid] = _parse_label(label, f"labels line {lineno}")
+    return labels
 
 
 def _load_long_csv(path, catalog, task, labels_path):
     labels = _load_labels(labels_path, task) if labels_path else {}
     # patient -> visit_time -> feature -> value, preserving first-seen order
     per_patient = {}
+    first_line = {}  # (patient, visit_time, feature) -> line number
     for lineno, (pid, vt, fid, value) in _read_csv(path, COHORT_CSV_HEADER,
                                                    "cohort"):
         if fid not in catalog:
             raise InvariantViolation(f"line {lineno}: feature {fid} not in catalog")
         t = _parse_visit_time(vt, lineno)
         cell = _parse_value(value, catalog[fid].kind, lineno)
+        seen = first_line.setdefault((pid, t, fid), lineno)
+        if seen != lineno:
+            raise ParseError(f"patient {pid}: feature {fid} at visit_time "
+                             f"{vt.strip()!r} repeats line {seen}", line=lineno)
         visits = per_patient.setdefault(pid, {})
         visits.setdefault(t, {})[fid] = cell
     records = []

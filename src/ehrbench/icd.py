@@ -9,6 +9,8 @@ makes cross-chapter distances finite.
 from __future__ import annotations
 
 import collections
+import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -93,6 +95,7 @@ class IcdTree:
 
     def __init__(self, parent):
         self._parent = dict(parent)
+        self._paths = {}  # code -> root path, filled as codes are asked for
 
     def __contains__(self, code):
         return code in self._parent
@@ -106,13 +109,13 @@ class IcdTree:
         return self._parent[code]
 
     def ancestors(self, code):
-        """Path from code up to and including the root."""
-        if code not in self._parent:
-            raise UnknownCode(code)
-        path = [code]
-        while code != ROOT:
-            code = self._parent[code]
-            path.append(code)
+        """Path from code up to and including the root, as a tuple; each
+        code's path is walked once."""
+        path = self._paths.get(code)
+        if path is None:
+            parent = self.parent(code)
+            path = (code,) if parent is None else (code, *self.ancestors(parent))
+            self._paths[code] = path
         return path
 
 
@@ -177,41 +180,57 @@ def _rounding_tol(sq, other_sq, d):
     return 8 * (d + 3) * np.finfo(float).eps * radius ** 2
 
 
-def _lower_d2(points, sq, tol, dist2, idx):
-    """Lower D^2, the squared distance to the nearest centre, for a new
-    centre ``points[idx]``: ``np.minimum(dist2, ((points - points[idx]) **
-    2).sum(axis=1))`` bit for bit, updated in place and returned.
+_SEED_BLOCK = 128  # (K, point) pairs recomputed in the direct form at once
 
-    Only points whose expanded distance minus ``tol`` (``_rounding_tol``)
-    falls below their D^2 are recomputed in the direct form: every other
-    point's direct distance is at least its D^2, so ``np.minimum`` would
-    keep it.
+
+def _seed_round(points, sq, tol, dist2, rows, centres):
+    """Lower D^2, each K's squared distance to its nearest centre, for one
+    new centre per K. Row ``r = rows[i]`` of ``dist2`` (Ks x n) becomes
+    ``np.minimum(dist2[r], ((points - points[centres[i]]) ** 2).sum(1))``
+    bit for bit, in place.
+
+    The expanded distances |x|^2 - 2 x.c + |c|^2 of every row come from one
+    matrix product. Only the (K, point) pairs whose expanded distance minus
+    ``tol`` (``_rounding_tol``) falls below their D^2 are recomputed in the
+    direct form, ``_SEED_BLOCK`` pairs at a time: every other pair's direct
+    distance is at least its D^2, so ``np.minimum`` would keep the D^2.
     """
-    approx = sq - 2.0 * (points @ points[idx]) + sq[idx]
-    near = np.flatnonzero(approx - tol < dist2)
-    dist2[near] = np.minimum(
-        dist2[near], ((points[near] - points[idx]) ** 2).sum(axis=1))
-    return dist2
+    approx = sq - 2.0 * (points[centres] @ points.T) + sq[centres, None]
+    near, cols = np.nonzero(approx - tol < dist2[rows])
+    for start in range(0, len(cols), _SEED_BLOCK):
+        i, j = near[start:start + _SEED_BLOCK], cols[start:start + _SEED_BLOCK]
+        r = rows[i]
+        direct = ((points[j] - points[centres[i]]) ** 2).sum(axis=1)
+        dist2[r, j] = np.minimum(dist2[r, j], direct)
 
 
-def _kmeans_pp_init(points, sq, k, rng):
-    """k-means++ (D^2) seeding; ``sq`` holds each point's |x|^2. D^2, and
-    so every draw, equals the direct form's bit for bit."""
+def _kmeans_pp_init(points, sq, ks, rngs):
+    """k-means++ (D^2) seeding of every K in ``ks``, K ``ks[i]`` drawing from
+    ``rngs[i]``; ``sq`` holds each point's |x|^2. Returns each K's chosen
+    point indices.
+
+    Round c draws centre c of every K with k > c, then lowers their D^2 in
+    one ``_seed_round``. D^2, and so every draw, equals the direct form's
+    bit for bit, as if each K were seeded alone.
+    """
     n = len(points)
-    centroids = np.empty((k, points.shape[1]))
-    first = int(rng.integers(0, n))
-    centroids[0] = points[first]
-    dist2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    ks = np.asarray(ks)
+    chosen = [[] for _ in ks]
+    dist2 = np.full((len(ks), n), np.inf)  # no centre yet
     tol = _rounding_tol(sq, sq.max(), points.shape[1])
-    for c in range(1, k):
-        total = dist2.sum()
-        if total == 0.0:
-            idx = int(rng.integers(0, n))
-        else:
-            idx = int(rng.choice(n, p=dist2 / total))
-        centroids[c] = points[idx]
-        dist2 = _lower_d2(points, sq, tol, dist2, idx)
-    return centroids
+    for c in range(ks.max(initial=0)):
+        rows = np.flatnonzero(ks > c)
+        for row in rows:
+            # the first centre is drawn as when D^2 sums to 0
+            total = dist2[row].sum() if c else 0.0
+            if total == 0.0:
+                idx = int(rngs[row].integers(0, n))
+            else:
+                idx = int(rngs[row].choice(n, p=dist2[row] / total))
+            chosen[row].append(idx)
+        _seed_round(points, sq, tol, dist2, rows,
+                    np.array([chosen[row][c] for row in rows]))
+    return chosen
 
 
 _MAX_ITER = 100
@@ -242,25 +261,18 @@ def _nearest_centroid(points, sq, centroids):
     return labels
 
 
-def kmeans(embeddings, k, seed):
-    """Lloyd iterations from a seeded k-means++ start.
-
-    Empty clusters are reseeded to the point farthest from its assigned
-    centroid. Deterministic for a fixed seed.
-    """
-    points = np.asarray(embeddings, dtype=float)
-    n = len(points)
-    if k < 1 or n < k:
-        raise TooFewItems(f"{n} items for k={k}")
-    sq = (points ** 2).sum(axis=1)
-    centroids = _kmeans_pp_init(points, sq, k, np.random.default_rng(seed))
+def _lloyd(points, sq, centroids):
+    """Lloyd iterations from ``centroids``. Empty clusters are reseeded to
+    the point farthest from its assigned centroid."""
+    k = len(centroids)
     for iterations in range(1, _MAX_ITER + 1):
         labels = _nearest_centroid(points, sq, centroids)
         new_centroids = centroids.copy()
         for c in range(k):
             members = points[labels == c]
             if len(members):
-                new_centroids[c] = members.mean(axis=0)
+                # bit for bit members.mean(axis=0), without its overhead
+                new_centroids[c] = members.sum(axis=0) / len(members)
             else:
                 # distance to the assigned centroid, as the labels stand
                 own = ((points - centroids[labels]) ** 2).sum(axis=1)
@@ -273,10 +285,36 @@ def kmeans(embeddings, k, seed):
             break
     return ClusterAssignment(
         k=k,
-        labels=labels,
-        centroids=tuple(map(tuple, centroids)),
+        labels=labels.tolist(),
+        centroids=tuple(map(tuple, centroids.tolist())),
         iterations_run=iterations,
     )
+
+
+def _kmeans_runs(embeddings, ks, seeds):
+    """Yield the k-means of each K in ``ks`` in turn, K ``ks[i]`` seeded from
+    ``default_rng(seeds[i])``. Every K is seeded before the first yield;
+    Lloyd runs for one K at a time."""
+    points = np.asarray(embeddings, dtype=float)
+    n = len(points)
+    for k in ks:
+        if k < 1 or n < k:
+            raise TooFewItems(f"{n} items for k={k}")
+    sq = (points ** 2).sum(axis=1)
+    starts = _kmeans_pp_init(points, sq, ks,
+                             [np.random.default_rng(s) for s in seeds])
+    for chosen in starts:
+        yield _lloyd(points, sq, points[chosen])
+
+
+def kmeans(embeddings, k, seed):
+    """Lloyd iterations from a seeded k-means++ start.
+
+    Empty clusters are reseeded to the point farthest from its assigned
+    centroid. Deterministic for a fixed seed.
+    """
+    (assignment,) = _kmeans_runs(embeddings, [k], [seed])
+    return assignment
 
 
 def avg_code_distance(tree, codes, assignment):
@@ -292,15 +330,18 @@ def avg_code_distance(tree, codes, assignment):
     labels = assignment.labels
     if len(codes) != len(labels):
         raise InvariantViolation("codes and labels length mismatch")
-    sizes = collections.Counter(labels)
-    below = collections.Counter(
-        (label, node) for code, label in zip(codes, labels)
-        for node in tree.ancestors(code)[:-1])  # the root has no parent edge
-    totals = dict.fromkeys(sizes, 0)
-    for (label, _), c in below.items():
-        totals[label] += c * (sizes[label] - c)
-    cluster_means = [totals[label] / (n * (n - 1) // 2)
-                     for label, n in sizes.items() if n >= 2]
+    clusters = {}  # label -> members' root paths, by first appearance
+    for code, label in zip(codes, labels):
+        clusters.setdefault(label, []).append(tree.ancestors(code))
+    cluster_means = []
+    for paths in clusters.values():
+        n = len(paths)
+        if n >= 2:
+            below = collections.Counter(
+                itertools.chain.from_iterable(paths)).values()
+            # sum of c * (n - c); the root is on every path, so its term is 0
+            total = n * sum(below) - sum(map(operator.mul, below, below))
+            cluster_means.append(total / (n * (n - 1) // 2))
     if not cluster_means:
         return float("nan")
     return sum(cluster_means) / len(cluster_means)
@@ -309,10 +350,11 @@ def avg_code_distance(tree, codes, assignment):
 def hierarchy_benchmark(tree, codes, embeddings, ks, seed=0):
     """avg_code_distance per cluster count K plus the mean across Ks.
 
-    Per-K kmeans seeds derive from (seed, K) so Ks can run independently.
+    K's k-means is seeded from (seed, K), so each K's result equals
+    ``kmeans(embeddings, K, [seed, K])`` whatever the other Ks are. All Ks
+    are seeded together; each is clustered and scored before the next.
     """
-    per_k = {}
-    for k in ks:
-        assignment = kmeans(embeddings, k, seed=[seed, k])
-        per_k[k] = avg_code_distance(tree, codes, assignment)
+    runs = _kmeans_runs(embeddings, ks, [[seed, k] for k in ks])
+    per_k = {k: avg_code_distance(tree, codes, assignment)
+             for k, assignment in zip(ks, runs)}
     return {"per_k": per_k, "mean": sum(per_k.values()) / len(per_k)}

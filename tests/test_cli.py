@@ -275,6 +275,14 @@ class TestConfigValidation:
         assert "not valid JSON" in capsys.readouterr().err
 
 
+def _end_dates_with(record, last):
+    """Stamp ``record``'s visits 2020-01-10, 2020-01-11, ... and the last one
+    ``last``."""
+    n = len(record["visit_times"])
+    record["visit_times"] = [f"2020-01-{10 + i:02d}" for i in range(n - 1)]
+    record["visit_times"].append(last)
+
+
 # edit of a JSONL cohort's records -> what the error must name
 BAD_RECORDS = {
     "features_not_object":
@@ -291,6 +299,11 @@ BAD_RECORDS = {
         (lambda rs: rs[2].update(label=None, labels=1), "line 3"),
     "numeric_value_string":
         (lambda rs: rs[2]["features"]["hr"].__setitem__(0, "80"), "line 3"),
+    # date.fromisoformat accepts both from Python 3.11 on, not on 3.10
+    "basic_iso_date": (lambda rs: _end_dates_with(rs[2], "20200131"),
+                       "bad date"),
+    "iso_week_date": (lambda rs: _end_dates_with(rs[2], "2020-W05-5"),
+                      "bad date"),
     # keyed by id, the test split would shrink to one sample
     "duplicate_patient_id":
         (lambda rs: [r.update(patient_id="same") for r in rs], "'same'"),

@@ -52,6 +52,13 @@ class TestPatientRecord:
         with pytest.raises(errors.InvariantViolation):
             make_record((0, 1), [1.0, 2.0], sex="m")
 
+    @pytest.mark.parametrize("text", ["20200131", "2020-W05-5"])
+    def test_only_yyyy_mm_dd_is_a_date(self, text):
+        # date.fromisoformat accepts both from Python 3.11 on
+        with pytest.raises(errors.InvariantViolation,
+                           match=f"^record p0: bad date: .*'{text}'"):
+            make_record(("2020-01-30", text), (1.0, 2.0))
+
 
 class TestCatalog:
     def test_load_fixture(self, vitals_catalog):
@@ -230,10 +237,30 @@ class TestLongCsv:
          "^line 2: unparseable visit_time 'soon'$"),
         ("p1,0,hr,1\n", "p1,mortality,yes\n", errors.InvariantViolation,
          "^labels line 2: label 'yes' not in"),
-    ], ids=["visit_time", "label"])
+        ("p1,1,hr,80\np1,2,hr,82\np1,1.0,hr,81\n", "p1,mortality,1\n",
+         errors.ParseError,
+         "^line 4: patient p1: feature hr at visit_time '1.0' repeats line 2$"),
+        ("p1,0,hr,1\n", "p1,mortality,1\np1,readmission,0\np1,mortality,0\n",
+         errors.InvariantViolation,
+         "^labels line 4: patient p1: task mortality repeats line 2$"),
+        ("p1,2020-W05-5,hr,1\n", "p1,mortality,1\n", errors.ParseError,
+         "^line 2: unparseable visit_time '2020-W05-5'$"),
+    ], ids=["visit_time", "label", "repeated_cell", "repeated_label",
+            "iso_week_date"])
     def test_bad_cell(self, tmp_path, rows, labels, error, message):
         with pytest.raises(error, match=message):
             load_long_csv(tmp_path, rows, labels)
+
+    def test_rows_at_one_parsed_time_merge_into_one_visit(self, tmp_path):
+        cat = tmp_path / "cat.csv"
+        cat.write_text("feature_id,display_name,unit,reference_range,kind\n"
+                       "hr,Heart Rate,,,numeric\nrr,Resp Rate,,,numeric\n")
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("patient_id,visit_time,feature_id,value\n"
+                          "p1,1,hr,80\np1,2,hr,82\np1,1.0,rr,12\n")
+        p1 = load_cohort(cohort, load_catalog(cat), "mortality").get("p1")
+        assert p1.visit_times == (1, 2)
+        assert p1.features == {"hr": (80.0, 82.0), "rr": (12.0, None)}
 
 
 class TestLocf:

@@ -259,31 +259,37 @@ def direct_kmeans(embeddings, k, seed):
             iterations, reseeds)
 
 
-def assert_seeding_matches_direct(points, k, seed):
-    """``_kmeans_pp_init`` seeds as ``direct_pp_init`` does: D^2 after
-    every centre and the centroids, byte for byte."""
+def assert_seeding_matches_direct(points, ks, seeds):
+    """``_kmeans_pp_init`` seeds every K of ``ks`` together as
+    ``direct_pp_init`` seeds K ``ks[i]`` alone from ``default_rng(seeds[i])``:
+    each K's D^2 after every centre and its centroids, byte for byte."""
     points = np.asarray(points, dtype=float)
-    want, want_steps = direct_pp_init(points, k, np.random.default_rng(seed))
-    steps = []
-    lower_d2 = icd._lower_d2
+    rounds = []
+    seed_round = icd._seed_round
 
-    def spy(*args):
-        dist2 = lower_d2(*args)
-        steps.append(dist2.copy())
-        return dist2
+    def spy(points, sq, tol, dist2, rows, centres):
+        seed_round(points, sq, tol, dist2, rows, centres)
+        rounds.append((set(rows), dist2.copy()))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(icd, "_lower_d2", spy)
-        got = icd._kmeans_pp_init(points, (points ** 2).sum(axis=1), k,
-                                  np.random.default_rng(seed))
-    assert [s.tobytes() for s in steps] == [s.tobytes() for s in want_steps]
-    assert got.tobytes() == want.tobytes()
+        patch.setattr(icd, "_seed_round", spy)
+        chosen = icd._kmeans_pp_init(
+            points, (points ** 2).sum(axis=1), ks,
+            [np.random.default_rng(seed) for seed in seeds])
+    for i, (k, seed) in enumerate(zip(ks, seeds)):
+        want, want_steps = direct_pp_init(points, k,
+                                          np.random.default_rng(seed))
+        first = ((points - want[0]) ** 2).sum(axis=1)
+        steps = [dist2[i] for rows, dist2 in rounds if i in rows]
+        assert [s.tobytes() for s in steps] == \
+            [s.tobytes() for s in [first, *want_steps]]
+        assert points[chosen[i]].tobytes() == want.tobytes()
 
 
 def assert_matches_direct(points, k, seed):
     """``kmeans`` equals ``direct_kmeans``, and its seeding equals
     ``direct_pp_init`` step by step; returns the reseed count."""
-    assert_seeding_matches_direct(points, k, seed)
+    assert_seeding_matches_direct(points, [k], [seed])
     labels, centroids, iterations, reseeds = direct_kmeans(points, k, seed)
     got = kmeans(points, k, seed)
     assert got.labels == labels
@@ -343,6 +349,65 @@ class TestKmeansEqualsDirectForm:
     def test_all_identical_points(self):
         for i, value in enumerate((0.0, 1.0, -0.3, 1e3)):
             assert_matches_direct(np.full((15, 5), value), 4, i)
+
+
+def gaussian(rng, n):
+    return rng.normal(size=(n, 5))
+
+
+def integer_grid(rng, n):
+    return rng.choice((-1, 0, 1), size=(n, 3)) * 0.1
+
+
+def repeated_points(rng, n):
+    # two distinct points: D^2 sums to 0 once both are centres
+    return rng.normal(size=(2, 4))[rng.integers(0, 2, size=n)]
+
+
+def far_from_origin(rng, n):
+    return 1e3 + 1e-6 * rng.normal(size=(n, 3))
+
+
+class TestSweepSeeding:
+    """The Ks of one sweep are seeded together, each as if alone."""
+
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    @pytest.mark.parametrize("make", [
+        gaussian, integer_grid, repeated_points, far_from_origin])
+    def test_every_k_matches_direct(self, rng, make, block):
+        n = 23
+        points = make(rng, n)
+        ks = [4, 1, n, 2, 7]
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(icd, "_SEED_BLOCK", block)
+            for i in range(3):
+                assert_seeding_matches_direct(points, ks,
+                                              [[i, k] for k in ks])
+
+    @pytest.mark.parametrize("make", [
+        gaussian, integer_grid, repeated_points, far_from_origin])
+    def test_hierarchy_benchmark_equals_per_k_kmeans(self, rng, make):
+        parent = random_parent_map(rng, 30)
+        tree = IcdTree(parent)
+        codes = [node for node in parent if node != ROOT]
+        points = make(rng, len(codes))
+        ks = [5, 1, len(codes), 2, 9]
+        report = hierarchy_benchmark(tree, codes, points, ks, seed=4)
+        per_k = {k: avg_code_distance(tree, codes,
+                                      kmeans(points, k, seed=[4, k]))
+                 for k in ks}
+        assert list(report["per_k"]) == ks
+        for k in ks:
+            got, want = report["per_k"][k], per_k[k]
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_too_few_items_names_the_first_bad_k(self, rng):
+        parent = random_parent_map(rng, 4)
+        codes = [node for node in parent if node != ROOT]
+        points = [[float(i)] for i in range(4)]
+        with pytest.raises(errors.TooFewItems, match="^4 items for k=5$"):
+            hierarchy_benchmark(IcdTree(parent), codes, points, ks=(2, 5, 6))
 
 
 class TestAvgCodeDistance:
