@@ -32,6 +32,7 @@ import numpy as np
 from . import ehr, gateway, icd, metrics, prompts
 from .errors import (
     EhrBenchError,
+    EmptyInput,
     InvariantViolation,
     ParseError,
     UnknownSample,
@@ -150,12 +151,15 @@ def _load_config(path):
                 from None
     top = _section("", RunConfig, raw)
     data = _section("data", DataSpec, top.data)
+    endpoint = _section("endpoint", gateway.EndpointConfig, top.endpoint)
+    if endpoint.is_stub:  # an unknown stub chat model raises here
+        gateway.stub_complete("", endpoint.model_name)
     sections = SimpleNamespace(
         data=data,
         split=_section("split", ehr.SplitSpec, top.split),
         prompt=_section("prompt", prompts.PromptConfig, top.prompt,
                         task=data.task),
-        endpoint=_section("endpoint", gateway.EndpointConfig, top.endpoint),
+        endpoint=endpoint,
         bootstrap=_section("bootstrap", BootstrapSpec, top.bootstrap),
         decode=_section("decode", DecodeSpec, top.decode),
     )
@@ -242,21 +246,6 @@ def _nan_to_null(value):
     return value
 
 
-def _decode(raw_results):
-    """Endpoint results -> ({sample_id: PredictionOutcome}, error count)."""
-    outcomes = {}
-    n_errors = 0
-    for sid, result in raw_results.items():
-        if isinstance(result, Exception):
-            n_errors += 1
-            outcomes[sid] = gateway.PredictionOutcome(
-                sid, "missing", None, f"<error: {result}>"
-            )
-        else:
-            outcomes[sid] = gateway.decode_probability(result, sample_id=sid)
-    return outcomes, n_errors
-
-
 def _score(outcomes, records, boot):
     """Bootstrapped AUROC/AUPRC; a missing answer scores 0.5."""
     labels = {rec.patient_id: rec.label for rec in records}
@@ -274,21 +263,6 @@ def _score(outcomes, records, boot):
             else {"mean": result.mean, "std": result.std,
                   "n_resamples": result.n_resamples, "seed": result.seed}
             for name, result in results.items()}
-
-
-def _transcript(outcomes, rendered):
-    lines = []
-    for sid in sorted(outcomes):
-        o = outcomes[sid]
-        lines.append(json.dumps({
-            "sample_id": sid,
-            "prompt_sha256": hashlib.sha256(
-                rendered[sid].text.encode("utf-8")).hexdigest(),
-            "raw_text": o.raw_text,
-            "status": o.status,
-            "probability": o.probability,
-        }, sort_keys=True) + "\n")
-    return "".join(lines)
 
 
 REPORT_COLUMNS = ["label", "fingerprint", "n_test", "n_decoded",
@@ -327,12 +301,22 @@ def cmd_predict(args):
     test = plan.splits.test.records
     t0 = time.monotonic()
     rendered = {rec.patient_id: plan.render(rec) for rec in test}
-    raw_results = gateway.complete_batch(rendered, plan.config.endpoint)
-    outcomes, n_errors = _decode(raw_results)
+    results = gateway.complete_batch(rendered, plan.config.endpoint)
+    outcomes, transcript = {}, []
+    for sid, result in sorted(results.items()):
+        if isinstance(result, Exception):
+            o = outcomes[sid] = gateway.PredictionOutcome(
+                sid, "missing", None, f"<error: {result}>")
+        else:
+            o = outcomes[sid] = gateway.decode_probability(result, sid)
+        sha = hashlib.sha256(rendered[sid].text.encode("utf-8")).hexdigest()
+        transcript.append(json.dumps({**vars(o), "prompt_sha256": sha},
+                                     sort_keys=True) + "\n")
+    n_errors = sum(isinstance(r, Exception) for r in results.values())
+    del rendered  # free the prompts before the bootstrap
     rate = gateway.missing_rate(
-        list(outcomes.values()),
-        count_unknown_as_missing=plan.config.decode.count_unknown_as_missing,
-    )
+        outcomes.values(),
+        count_unknown_as_missing=plan.config.decode.count_unknown_as_missing)
     metric_results = _score(outcomes, test, plan.config.bootstrap)
 
     out_dir = plan.raw["output_dir"]
@@ -353,7 +337,7 @@ def cmd_predict(args):
     }
     _write_report(out_dir, "report", report, REPORT_COLUMNS,
                   [_report_row(report, os.path.join(out_dir, "report.json"))],
-                  transcript=_transcript(outcomes, rendered))
+                  transcript="".join(transcript))
     error_frac = n_errors / len(outcomes) if outcomes else 0.0
     if error_frac > args.max_error_frac:
         print(f"error fraction {error_frac:.3f} exceeds "
@@ -413,9 +397,12 @@ def _load_embedding_file(path, key="text"):
     return table
 
 
-def _embeddings(args, keys, texts, key):
+def _embeddings(args, keys, texts, key, n_summed):
     """(n, d) floats, one row per key: the ``--embeddings-file`` line whose
-    ``key`` field holds it, or else the endpoint's embedding of its text."""
+    ``key`` field holds it, or else the endpoint's embedding of its text.
+    ``n_summed`` is the most terms one sum of squares adds downstream."""
+    if not keys:
+        raise EmptyInput(f"no {key}s to embed")
     if args.embeddings_file:
         table = _load_embedding_file(args.embeddings_file, key=key)
         missing = [k for k in keys if k not in table]
@@ -423,15 +410,32 @@ def _embeddings(args, keys, texts, key):
             raise InvariantViolation(
                 f"{len(missing)} of {len(keys)} {key}s lack embeddings, "
                 f"e.g. {missing[0]!r}")
-        return np.stack([table[k] for k in keys])
-    return gateway.embed(texts, gateway.EndpointConfig(
-        base_url=args.base_url, model_name=args.model))
+        vectors = np.stack([table[k] for k in keys])
+    else:
+        vectors = gateway.embed(texts, gateway.EndpointConfig(
+            base_url=args.base_url, model_name=args.model))
+    # With m the largest |value| and d the width, a squared l1 distance
+    # between two rows is at most (2dm)^2, and every other square made from
+    # rows (|x|^2, x.y, a squared l2 distance, a k-means++ D^2) at most
+    # 4dm^2; so a sum of n_summed of them, the rows of the D^2 total or the
+    # pairs of a correlation, is at most 4 n_summed (dm)^2. pearson
+    # multiplies that sum by the gold scores' own, so it is held below
+    # sqrt(float max), which leaves the gold side the same room.
+    limit = np.finfo(float).max ** 0.25 / (2 * vectors.shape[1]
+                                           * math.sqrt(n_summed))
+    largest = max(vectors.max(), -vectors.min())
+    if largest > limit:
+        raise InvariantViolation(
+            f"embeddings from {args.embeddings_file or 'model ' + args.model}"
+            f" reach |value| {largest:.3g}, above {limit:.3g}, past which "
+            "sums of their squares could overflow")
+    return vectors
 
 
 def cmd_eval_sentences(args):
     raw_pairs = _load_sentence_pairs(args.pairs)
     texts = list(dict.fromkeys(s for s1, s2, _ in raw_pairs for s in (s1, s2)))
-    vectors = _embeddings(args, texts, texts, key="text")
+    vectors = _embeddings(args, texts, texts, "text", len(raw_pairs))
     by_text = dict(zip(texts, vectors))
     pairs = [
         metrics.SimilarityPair(vec_a=by_text[s1], vec_b=by_text[s2],
@@ -454,8 +458,8 @@ def cmd_eval_icd(args):
     tree = icd.build_tree(entries)
     codes = [e.code for e in entries]
     embeddings = _embeddings(
-        args, codes, [e.long_desc or e.short_desc for e in entries],
-        key="code")
+        args, codes, [e.long_desc or e.short_desc for e in entries], "code",
+        len(codes))
     result = icd.hierarchy_benchmark(tree, codes, embeddings, ks=args.ks,
                                      seed=args.seed)
     per_k = result["per_k"]

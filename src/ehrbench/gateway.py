@@ -11,9 +11,9 @@ Offline stub models make the whole pipeline testable without a server:
 Wire format for real endpoints follows the de-facto open chat-completions
 JSON shape (``messages`` array in, ``choices[0].message.content`` out) and
 embeddings shape (``data[i].embedding``); see README for request examples.
-Requests go over ``http.client``: one kept-alive connection per thread and
-endpoint, closed when ``complete_batch`` or ``embed`` returns, with quick
-ACKs and the proxies urllib would use.
+Requests go over ``http.client``, one prompt or ``EMBED_CHUNK`` texts each;
+``_run``'s threads keep one connection per endpoint (a lone ``complete``
+opens its own), with quick ACKs and the proxies urllib would use.
 """
 from __future__ import annotations
 
@@ -24,8 +24,6 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
@@ -41,6 +39,8 @@ from .errors import (
 )
 
 STUB_BASE_URL = "stub"
+# texts per embeddings request: text-embeddings-inference's default limit
+EMBED_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,9 @@ class MissingRateReport:
         return (self.n_test - self.n_decoded) / self.n_test * 100.0
 
 
-def _stub_complete(prompt_text, model_name):
+def stub_complete(prompt_text, model_name):
+    """A stub chat model's answer; ``InvariantViolation`` for any other
+    name."""
     if model_name.startswith("echo-"):
         return model_name[len("echo-"):]
     if model_name == "refuse":
@@ -144,27 +146,52 @@ def _stub_complete(prompt_text, model_name):
         ).digest()
         p = int.from_bytes(digest[:8], "big") / 2**64
         return f"{p:.4f}"
-    raise InvariantViolation(f"unknown stub model {model_name!r}")
+    raise InvariantViolation(
+        f"endpoint.model_name {model_name!r} is no stub chat model "
+        "(echo-<p>, refuse, garbage, noise-<seed>)")
 
 
-# .conns, inside a _kept_alive block: {EndpointConfig: _connect's triple}
-_kept = threading.local()
+# .conns, on a _run worker thread: {EndpointConfig: _connect's triple}
+_worker = threading.local()
 
 
-@contextmanager
-def _kept_alive():
-    """Reuse one connection per endpoint on this thread until the outermost
-    such block ends, then close them all."""
-    if getattr(_kept, "conns", None) is not None:
-        yield _kept.conns
-        return
-    _kept.conns = {}
-    try:
-        yield _kept.conns
-    finally:
-        for conn, _, _ in _kept.conns.values():
-            conn.close()
-        _kept.conns = None
+def _run(fn, jobs, max_in_flight, stop_on_error=False):
+    """[``fn(*job)`` or the ``Exception`` it raised, for each of the sized
+    ``jobs``], in job order, from up to ``max_in_flight`` threads that pull
+    jobs from one shared iterator and keep one connection per endpoint,
+    closed when no job is left. With ``stop_on_error`` no job starts after
+    one has failed, and those give ``None``."""
+    results = [None] * len(jobs)
+    pending = enumerate(jobs)
+    lock = threading.Lock()
+
+    def work():
+        nonlocal pending
+        _worker.conns = {}
+        try:
+            while True:
+                with lock:
+                    i, job = next(pending, (None, None))
+                if job is None:
+                    return
+                try:
+                    results[i] = fn(*job)
+                except Exception as exc:  # noqa: BLE001 - returned per job
+                    results[i] = exc
+                    if stop_on_error:
+                        with lock:
+                            pending = iter(())
+        finally:
+            for conn, _, _ in _worker.conns.values():
+                conn.close()
+
+    threads = [threading.Thread(target=work)
+               for _ in range(min(max_in_flight, len(jobs)))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return results
 
 
 def _connect(cfg):
@@ -231,8 +258,9 @@ def _exchange(conn, target, body, headers):
 def _post_with_retries(cfg, path, payload, sample_id=None):
     """POST ``payload`` to ``cfg.base_url + path``; return a 2xx JSON body.
 
-    Sends over this thread's kept-alive connection to the endpoint (see
-    ``_exchange``). 401/403 raise ``AuthFailure``. 429, 5xx, connection
+    Sends over the ``_run`` worker's kept-alive connection to the endpoint
+    (see ``_exchange``); a call from any other thread opens a connection for
+    this call only. 401/403 raise ``AuthFailure``. 429, 5xx, connection
     errors and timeouts are retried ``cfg.max_retries`` times with
     exponential backoff. Any other status (a 3xx too: http.client follows no
     redirect), and a 2xx body that is not JSON, raise ``GatewayError``.
@@ -243,11 +271,13 @@ def _post_with_retries(cfg, path, payload, sample_id=None):
     if cfg.api_key:
         headers["Authorization"] = f"Bearer {cfg.api_key}"
     body = json.dumps(payload).encode()
-    with _kept_alive() as conns:
-        if cfg not in conns:
-            conns[cfg] = _connect(cfg)
-        conn, prefix, proxy_headers = conns[cfg]
-        headers.update(proxy_headers)
+    lone = getattr(_worker, "conns", None) is None
+    conns = {} if lone else _worker.conns
+    if cfg not in conns:
+        conns[cfg] = _connect(cfg)
+    conn, prefix, proxy_headers = conns[cfg]
+    headers.update(proxy_headers)
+    try:
         for attempt in range(cfg.max_retries + 1):
             try:
                 status, data = _exchange(conn, prefix + path, body, headers)
@@ -267,6 +297,9 @@ def _post_with_retries(cfg, path, payload, sample_id=None):
                 last_error = error(f"HTTP {status}", sample_id=sample_id)
             if attempt < cfg.max_retries:
                 time.sleep(cfg.backoff_base * 2**attempt)
+    finally:
+        if lone:
+            conn.close()
     raise last_error
 
 
@@ -278,7 +311,7 @@ def complete(prompt, cfg, sample_id=None):
     """
     text = prompt.text if hasattr(prompt, "text") else str(prompt)
     if cfg.is_stub:
-        return _stub_complete(text, cfg.model_name)
+        return stub_complete(text, cfg.model_name)
     payload = {
         "model": cfg.model_name,
         "messages": [{"role": "user", "content": text}],
@@ -299,34 +332,10 @@ def complete(prompt, cfg, sample_id=None):
 
 
 def complete_batch(prompts_by_id, cfg):
-    """Run up to cfg.max_in_flight completions concurrently.
-
-    Returns {sample_id: raw_text or GatewayError} in ``prompts_by_id``
-    order. Each worker thread sends over one kept-alive connection, closed
-    when the batch returns.
-    """
-    jobs = iter(list(prompts_by_id.items()))
-    lock = threading.Lock()
-    results = {}
-
-    def work():
-        with _kept_alive():
-            while True:
-                with lock:
-                    job = next(jobs, None)
-                if job is None:
-                    return
-                sid, prompt = job
-                try:
-                    results[sid] = complete(prompt, cfg, sample_id=sid)
-                except Exception as exc:  # noqa: BLE001 - surfaced per-sample
-                    results[sid] = exc
-
-    n_workers = min(cfg.max_in_flight, len(prompts_by_id))
-    with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-        for future in [pool.submit(work) for _ in range(n_workers)]:
-            future.result()
-    return {sid: results[sid] for sid in prompts_by_id}
+    """{sample_id: raw_text or GatewayError}, one ``_run`` job per prompt."""
+    results = _run(lambda sid, prompt: complete(prompt, cfg, sample_id=sid),
+                   prompts_by_id.items(), cfg.max_in_flight)
+    return dict(zip(prompts_by_id, results))
 
 
 def _stub_embed(texts, dim):
@@ -373,6 +382,20 @@ def embed(texts, cfg):
                 "stub embedder must be hash-embed-<dim> with dim >= 1, "
                 f"got {cfg.model_name!r}")
         return _stub_embed(texts, int(dim))
+    chunks = [(start, texts[start:start + EMBED_CHUNK], cfg)
+              for start in range(0, len(texts), EMBED_CHUNK)]
+    blocks = _run(_embed_chunk, chunks, cfg.max_in_flight, stop_on_error=True)
+    for (start, _, _), block in zip(chunks, blocks):
+        if isinstance(block, Exception):
+            raise block
+        if block.shape[1] != blocks[0].shape[1]:
+            raise GatewayError(f"embedding {start} has {block.shape[1]} "
+                               f"values, the first has {blocks[0].shape[1]}")
+    return np.concatenate(blocks)
+
+
+def _embed_chunk(start, texts, cfg):
+    """One request's rows for ``texts``, ``embed``'s input from ``start``."""
     payload = {"model": cfg.model_name, "input": list(texts)}
     body = _post_with_retries(cfg, "/embeddings", payload)
     try:
@@ -387,7 +410,7 @@ def embed(texts, cfg):
         try:
             rows.append(embedding_row(vec, rows[0].size if rows else None))
         except ValueError as exc:
-            raise GatewayError(f"embedding {i} {exc}") from None
+            raise GatewayError(f"embedding {start + i} {exc}") from None
     return np.stack(rows)
 
 

@@ -249,6 +249,11 @@ BAD_CONFIGS = [
      lambda c: c["endpoint"].update(backoff_base=float("inf"))),
     # a NaN fraction passed every comparison and crashed the split
     ("outside [0, 1]", lambda c: c["split"].update(train_frac=float("nan"))),
+    # every sample would be an error, after the data was read
+    ("endpoint.model_name",
+     lambda c: c["endpoint"].update(model_name="mystery")),
+    ("endpoint.model_name",
+     lambda c: c["endpoint"].update(model_name="hash-embed-8")),
 ]
 
 
@@ -267,6 +272,13 @@ class TestConfigValidation:
             assert main(argv) == 2
             assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("model", ["echo-0.25", "echo-anything",
+                                       "refuse", "garbage", "noise-"])
+    def test_stub_chat_models_accepted(self, tmp_path, model):
+        config_path, _ = write_run_config(tmp_path, model_name=model)
+        assert main(["prompt-preview", "--config", str(config_path),
+                     "--sample-id", "p000"]) == 0
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         config_path, _ = write_run_config(tmp_path)
@@ -495,6 +507,34 @@ class TestEvalSentences:
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_embeddings_exit_2(self, tmp_path, capsys):
+        """Finite vectors whose squares overflow: one error line naming the
+        file, no numpy warning, no report."""
+        rows = [(f"a{i}", f"b{i}", float(i)) for i in range(4)]
+        pairs = self.write_pairs(tmp_path, rows)
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text("".join(
+            json.dumps({"text": t, "embedding": [1e200 * sign, 1e200 * i]})
+            + "\n" for i, (a, b, _) in enumerate(rows)
+            for t, sign in ((a, 1), (b, -1))))
+        assert main(["eval-sentences", "--pairs", str(pairs),
+                     "--embeddings-file", str(emb),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: embeddings from ")
+        assert err.count("\n") == 1 and str(emb) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_no_pairs_with_embeddings_file(self, tmp_path, capsys):
+        pairs = self.write_pairs(tmp_path, [])
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text('{"text": "a", "embedding": [1.0]}\n')
+        assert main(["eval-sentences", "--pairs", str(pairs),
+                     "--embeddings-file", str(emb),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: no texts")
+
     def test_embedding_file_keeps_float64_rows(self, tmp_path):
         emb = tmp_path / "emb.jsonl"
         emb.write_text('{"text": "a", "embedding": [1, 2.5]}\n')
@@ -548,6 +588,25 @@ class TestEvalIcd:
                      "--output-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "2 values" in err
+
+    # 4 max|x|^2 = 5e307 is finite at 2.5e153, but the k-means++ D^2 total
+    # over the 12 rows is not
+    @pytest.mark.parametrize("value", [1e200, 2.5e153])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_embeddings_exit_2(self, tmp_path, capsys, value):
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text("".join(
+            json.dumps({"code": f"{chap}00{i}",
+                        "embedding": [value * (-1) ** i,
+                                      value if i % 3 else -value]}) + "\n"
+            for chap in "ABE" for i in range(4)))
+        assert main(["eval-icd", "--order-file", self.ORDER,
+                     "--embeddings-file", str(emb), "--ks", "2,3",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: embeddings from ")
+        assert err.count("\n") == 1 and str(emb) in err
+        assert not (tmp_path / "out").exists()
 
     def test_all_singleton_clusters_write_null(self, tmp_path):
         # 12 codes in 12 clusters: no cluster has a pair, so no value

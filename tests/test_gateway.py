@@ -571,6 +571,156 @@ class TestKeptAliveConnections:
         assert headers["Proxy-Authorization"] == "Basic dUB4OnA="
 
 
+class _ChunkHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 embeddings endpoint that keeps connections open and answers
+    413 to more than ``max_inputs`` texts. Text ``t<i>`` embeds as
+    ``[i, -i]``, or ``[i, -i, 0]`` if it is in ``wide``. A request holding
+    ``hold`` is answered after every other request has been; one holding
+    ``fail`` gets a 500."""
+
+    protocol_version = "HTTP/1.1"
+    max_inputs = 3
+    hold = None
+    fail = None
+    wide = ()
+    lock = threading.Lock()
+    seen = []      # (client port, inputs) of each request
+    answered = []  # inputs of each 200, in the order they were sent
+    others_answered = threading.Event()
+
+    def do_POST(self):
+        cls = type(self)
+        inputs = json.loads(
+            self.rfile.read(int(self.headers["Content-Length"])))["input"]
+        with cls.lock:
+            cls.seen.append((self.client_address[1], inputs))
+        if len(inputs) > cls.max_inputs or cls.fail in inputs:
+            self.send_response(413 if len(inputs) > cls.max_inputs else 500)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        if cls.hold in inputs:
+            cls.others_answered.wait(timeout=5)
+        # noted before the client can see the answer, so no note from this
+        # test reaches the next one
+        with cls.lock:
+            cls.answered.append(inputs)
+            if len(cls.answered) == 3:
+                cls.others_answered.set()
+        blob = json.dumps({"data": [
+            {"embedding": [float(t[1:]), -float(t[1:])]
+             + ([0.0] if t in cls.wide else [])} for t in inputs]})
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(blob)))
+        self.end_headers()
+        self.wfile.write(blob.encode())
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def chunk_endpoint(monkeypatch):
+    """The endpoint above, with ``embed`` sending 3 texts per request."""
+    monkeypatch.setattr(gateway, "EMBED_CHUNK", 3)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChunkHandler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
+    thread.start()
+    _ChunkHandler.seen, _ChunkHandler.answered = [], []
+    _ChunkHandler.hold = _ChunkHandler.fail = None
+    _ChunkHandler.wide = ()
+    _ChunkHandler.others_answered = threading.Event()
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+
+
+TEXTS = [f"t{i}" for i in range(10)]
+
+
+class TestChunkedEmbeddings:
+    def test_chunks_within_the_limit(self, chunk_endpoint):
+        cfg = EndpointConfig(base_url=chunk_endpoint, model_name="emb")
+        vecs = embed(TEXTS, cfg)
+        assert vecs.tolist() == [[float(i), -float(i)] for i in range(10)]
+        sizes = sorted(len(inputs) for _, inputs in _ChunkHandler.seen)
+        assert sizes == [1, 3, 3, 3]
+        assert sorted(t for _, inputs in _ChunkHandler.seen
+                      for t in inputs) == sorted(TEXTS)
+
+    def test_rows_in_input_order_when_first_chunk_answers_last(
+            self, chunk_endpoint):
+        _ChunkHandler.hold = "t0"
+        cfg = EndpointConfig(base_url=chunk_endpoint, model_name="emb",
+                             max_in_flight=4)
+        vecs = embed(TEXTS, cfg)
+        assert _ChunkHandler.answered[-1] == ["t0", "t1", "t2"]
+        assert vecs.tolist() == [[float(i), -float(i)] for i in range(10)]
+
+    @pytest.mark.parametrize("wide, message", [
+        (("t3", "t4", "t5"), "embedding 3 has 3 values, the first has 2"),
+        (("t4",), "embedding 4 has 3 values, the first has 2"),
+    ])
+    def test_rows_of_another_length(self, chunk_endpoint, wide, message):
+        """Every row is as long as the first, across chunks and within
+        one."""
+        _ChunkHandler.wide = wide
+        cfg = EndpointConfig(base_url=chunk_endpoint, model_name="emb")
+        with pytest.raises(errors.GatewayError, match=message):
+            embed(TEXTS, cfg)
+
+    @pytest.mark.parametrize("max_in_flight", [1, 2])
+    def test_at_most_max_in_flight_connections(self, chunk_endpoint,
+                                               max_in_flight):
+        cfg = EndpointConfig(base_url=chunk_endpoint, model_name="emb",
+                             max_in_flight=max_in_flight)
+        embed(TEXTS, cfg)
+        assert len(_ChunkHandler.seen) == 4
+        assert len({port for port, _ in _ChunkHandler.seen}) <= max_in_flight
+
+    def test_failed_chunk_raises_and_eval_exits_2(self, chunk_endpoint,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+        _ChunkHandler.fail = "t5"
+        cfg = EndpointConfig(base_url=chunk_endpoint, model_name="emb",
+                             max_retries=1, backoff_base=0.0, max_in_flight=1)
+        with pytest.raises(errors.GatewayError, match="HTTP 500"):
+            embed(TEXTS, cfg)
+        # the first chunk once, the one holding t5 twice, and no chunk after
+        # it: the command fails anyway
+        assert [inputs for _, inputs in _ChunkHandler.seen] == [
+            ["t0", "t1", "t2"], ["t3", "t4", "t5"], ["t3", "t4", "t5"]]
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("".join(f"t{2 * i}\tt{2 * i + 1}\t{i}\n"
+                                 for i in range(5)))
+        assert main(["eval-sentences", "--pairs", str(pairs),
+                     "--base-url", chunk_endpoint, "--model", "emb",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: HTTP 500")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_endpoint_embeddings_exit_2(http_endpoint, tmp_path,
+                                                capsys):
+    """Finite vectors whose squares overflow exit 2 naming the model,
+    whether they come from a file or an endpoint."""
+    _Handler.embed_body = (b'{"data": [{"embedding": [1e200, 0]},'
+                           b' {"embedding": [0, 1e200]}]}')
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a\tb\t1.0\nb\ta\t2.0\n")
+    assert main(["eval-sentences", "--pairs", str(pairs),
+                 "--base-url", http_endpoint, "--model", "emb",
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: embeddings from model emb reach")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("status", [400, 404])
 def test_client_error_status_not_retried(http_endpoint, tmp_path, capsys,
                                          status):
