@@ -29,7 +29,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import ehr, gateway, icd, metrics, prompts
+# ehr, prompts, metrics and icd are imported by the commands that use them,
+# so a command loads (and, without bytecode caching, compiles) only its own
+from . import gateway
 from .errors import (
     EhrBenchError,
     EmptyInput,
@@ -37,6 +39,7 @@ from .errors import (
     ParseError,
     UnknownSample,
     open_text,
+    read_jsonl,
 )
 
 
@@ -68,6 +71,8 @@ class DataSpec:
     labels: str | None = None
 
     def __post_init__(self):
+        from . import ehr
+
         if self.task not in ehr.TASKS:
             raise InvariantViolation(
                 f"data.task must be one of {ehr.TASKS}, got {self.task!r}")
@@ -143,6 +148,8 @@ def _section(name, cls, values, **derived):
 
 def _load_config(path):
     """Read and validate a run config -> (dict as written, section objects)."""
+    from . import ehr, prompts
+
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -182,6 +189,8 @@ class RunPlan:
     """
 
     def __init__(self, config_path):
+        from . import ehr
+
         self.raw, self.config = _load_config(config_path)
         data = self.config.data
         self.catalog = ehr.load_catalog(data.catalog)
@@ -191,9 +200,13 @@ class RunPlan:
 
     @functools.cached_property
     def splits(self):
+        from . import ehr
+
         return ehr.split_cohort(self.cohort, self.config.split)
 
     def _examples(self, dated):
+        from . import ehr, prompts
+
         if dated not in self._icl_examples:
             spec = prompts.icl_spec_from_cohort(
                 self.splits.train, seed=self.config.split.seed,
@@ -203,6 +216,8 @@ class RunPlan:
         return self._icl_examples[dated]
 
     def render(self, record):
+        from . import ehr, prompts
+
         cfg = self.config.prompt
         examples = (self._examples(record.time_kind == ehr.TIME_DATE)
                     if cfg.n_icl_examples > 0 else None)
@@ -248,6 +263,8 @@ def _nan_to_null(value):
 
 def _score(outcomes, records, boot):
     """Bootstrapped AUROC/AUPRC; a missing answer scores 0.5."""
+    from . import metrics
+
     labels = {rec.patient_id: rec.label for rec in records}
     samples = [
         metrics.ScoredSample(
@@ -301,7 +318,12 @@ def cmd_predict(args):
     test = plan.splits.test.records
     t0 = time.monotonic()
     rendered = {rec.patient_id: plan.render(rec) for rec in test}
-    results = gateway.complete_batch(rendered, plan.config.endpoint)
+    # the most errors the exit check below lets pass: floor(frac * n), by
+    # that check's own division (0.29 * 100 is 28.999999999999996)
+    max_errors = sum(e / len(test) <= args.max_error_frac
+                     for e in range(1, len(test) + 1))
+    results = gateway.complete_batch(rendered, plan.config.endpoint,
+                                     max_errors)
     outcomes, transcript = {}, []
     for sid, result in sorted(results.items()):
         if isinstance(result, Exception):
@@ -384,7 +406,7 @@ def _load_embedding_file(path, key="text"):
     """
     table = {}
     dim = None
-    for lineno, obj in ehr.read_jsonl(path):
+    for lineno, obj in read_jsonl(path):
         if not isinstance(obj.get(key), str) or "embedding" not in obj:
             raise ParseError(
                 f'expected a string "{key}" and an "embedding"', line=lineno)
@@ -433,6 +455,8 @@ def _embeddings(args, keys, texts, key, n_summed):
 
 
 def cmd_eval_sentences(args):
+    from . import metrics
+
     raw_pairs = _load_sentence_pairs(args.pairs)
     texts = list(dict.fromkeys(s for s1, s2, _ in raw_pairs for s in (s1, s2)))
     vectors = _embeddings(args, texts, texts, "text", len(raw_pairs))
@@ -454,6 +478,8 @@ def cmd_eval_sentences(args):
 
 
 def cmd_eval_icd(args):
+    from . import icd
+
     entries = icd.filter_broad_codes(icd.parse_order_file(args.order_file))
     tree = icd.build_tree(entries)
     codes = [e.code for e in entries]

@@ -10,7 +10,6 @@ record. Visit timestamps come in three flavors:
 from __future__ import annotations
 
 import csv
-import json
 import re
 from dataclasses import dataclass, replace
 from datetime import date
@@ -23,6 +22,7 @@ from .errors import (
     ParseError,
     SchemaMismatch,
     open_text,
+    read_jsonl,
 )
 
 TIME_ORDINAL = "ordinal"
@@ -339,21 +339,6 @@ def _load_long_csv(path, catalog, task, labels_path):
             )
         )
     return records
-
-
-def read_jsonl(path):
-    """Yield (line number, object) for every non-blank line of a JSONL file."""
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-            if not isinstance(obj, dict):
-                raise ParseError("expected a JSON object", line=lineno)
-            yield lineno, obj
 
 
 # the JSON types a value may have; a bool is not a number here

@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the harness."""
+"""Exception hierarchy shared across the harness, and the text and JSONL
+readers that raise its ``ParseError``."""
 
 import contextlib
+import json
 
 
 class EhrBenchError(Exception):
@@ -31,6 +33,22 @@ def open_text(path, newline=None):
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") \
                 from None
+
+
+def read_jsonl(path):
+    """Yield (line number, object) for every non-blank line of a JSONL file:
+    a cohort or an embeddings file."""
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+            if not isinstance(obj, dict):
+                raise ParseError("expected a JSON object", line=lineno)
+            yield lineno, obj
 
 
 class InvariantViolation(EhrBenchError):

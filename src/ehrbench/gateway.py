@@ -155,31 +155,34 @@ def stub_complete(prompt_text, model_name):
 _worker = threading.local()
 
 
-def _run(fn, jobs, max_in_flight, stop_on_error=False):
+def _run(fn, jobs, max_in_flight, max_errors=None):
     """[``fn(*job)`` or the ``Exception`` it raised, for each of the sized
     ``jobs``], in job order, from up to ``max_in_flight`` threads that pull
     jobs from one shared iterator and keep one connection per endpoint,
-    closed when no job is left. With ``stop_on_error`` no job starts after
-    one has failed, and those give ``None``."""
+    closed when no job is left. Once more than ``max_errors`` jobs have
+    failed, no job starts; each job not started gives a ``GatewayError``."""
     results = [None] * len(jobs)
     pending = enumerate(jobs)
+    started = failed = 0
     lock = threading.Lock()
 
     def work():
-        nonlocal pending
+        nonlocal pending, started, failed
         _worker.conns = {}
         try:
             while True:
                 with lock:
                     i, job = next(pending, (None, None))
+                    started += job is not None
                 if job is None:
                     return
                 try:
                     results[i] = fn(*job)
                 except Exception as exc:  # noqa: BLE001 - returned per job
                     results[i] = exc
-                    if stop_on_error:
-                        with lock:
+                    with lock:
+                        failed += 1
+                        if max_errors is not None and failed > max_errors:
                             pending = iter(())
         finally:
             for conn, _, _ in _worker.conns.values():
@@ -191,6 +194,9 @@ def _run(fn, jobs, max_in_flight, stop_on_error=False):
         thread.start()
     for thread in threads:
         thread.join()
+    for i in range(started, len(jobs)):
+        results[i] = GatewayError(f"not sent: {failed} requests had failed, "
+                                  f"more than the {max_errors} allowed")
     return results
 
 
@@ -331,24 +337,30 @@ def complete(prompt, cfg, sample_id=None):
     return content
 
 
-def complete_batch(prompts_by_id, cfg):
-    """{sample_id: raw_text or GatewayError}, one ``_run`` job per prompt."""
+def complete_batch(prompts_by_id, cfg, max_errors=None):
+    """{sample_id: raw_text or GatewayError}, one ``_run`` job per prompt;
+    once more than ``max_errors`` have failed, no prompt is sent."""
     results = _run(lambda sid, prompt: complete(prompt, cfg, sample_id=sid),
-                   prompts_by_id.items(), cfg.max_in_flight)
+                   prompts_by_id.items(), cfg.max_in_flight, max_errors)
     return dict(zip(prompts_by_id, results))
 
 
 def _stub_embed(texts, dim):
     n_blocks = -(-dim // 4)  # a sha256 block holds four 64-bit words
-    blocks = []
-    for text in texts:
+    counters = [counter.to_bytes(4, "big") for counter in range(n_blocks)]
+    row_bytes = 32 * n_blocks
+    buf = bytearray(len(texts) * row_bytes)  # filled text by text
+    for i, text in enumerate(texts):
         digest = hashlib.sha256(text.encode("utf-8")).digest()
-        blocks.extend(hashlib.sha256(digest + counter.to_bytes(4, "big"))
-                      .digest() for counter in range(n_blocks))
-    words = np.frombuffer(b"".join(blocks), ">u8")
+        buf[i * row_bytes:(i + 1) * row_bytes] = b"".join(
+            [hashlib.sha256(digest + c).digest() for c in counters])
+    words = np.frombuffer(buf, ">u8").reshape(len(texts), 4 * n_blocks)
     # expand deterministically to dim floats in [-1, 1]; dividing by 2**63
     # is exact scaling, so each value is the correctly rounded word's
-    return words.reshape(len(texts), 4 * n_blocks)[:, :dim] / 2**63 - 1.0
+    vectors = words[:, :dim].astype(float)
+    vectors /= 2**63
+    vectors -= 1.0
+    return vectors
 
 
 def embedding_row(value, dim=None):
@@ -384,7 +396,7 @@ def embed(texts, cfg):
         return _stub_embed(texts, int(dim))
     chunks = [(start, texts[start:start + EMBED_CHUNK], cfg)
               for start in range(0, len(texts), EMBED_CHUNK)]
-    blocks = _run(_embed_chunk, chunks, cfg.max_in_flight, stop_on_error=True)
+    blocks = _run(_embed_chunk, chunks, cfg.max_in_flight, max_errors=0)
     for (start, _, _), block in zip(chunks, blocks):
         if isinstance(block, Exception):
             raise block

@@ -8,9 +8,7 @@ makes cross-chapter distances finite.
 """
 from __future__ import annotations
 
-import collections
 import itertools
-import operator
 import re
 from dataclasses import dataclass
 
@@ -200,8 +198,11 @@ def _seed_round(points, sq, tol, dist2, rows, centres):
     for start in range(0, len(cols), _SEED_BLOCK):
         i, j = near[start:start + _SEED_BLOCK], cols[start:start + _SEED_BLOCK]
         r = rows[i]
-        direct = ((points[j] - points[centres[i]]) ** 2).sum(axis=1)
-        dist2[r, j] = np.minimum(dist2[r, j], direct)
+        # (points[j] - points[centres[i]]) ** 2 in place; points[j] is a copy
+        diff = points[j]
+        diff -= points[centres[i]]
+        diff *= diff
+        dist2[r, j] = np.minimum(dist2[r, j], diff.sum(axis=1))
 
 
 def _kmeans_pp_init(points, sq, ks, rngs):
@@ -225,8 +226,14 @@ def _kmeans_pp_init(points, sq, ks, rngs):
             total = dist2[row].sum() if c else 0.0
             if total == 0.0:
                 idx = int(rngs[row].integers(0, n))
+            elif not np.isfinite(total):
+                raise InvariantViolation("squared distances overflow")
             else:
-                idx = int(rngs[row].choice(n, p=dist2[row] / total))
+                # the draw of rngs[row].choice(n, p=dist2[row] / total),
+                # without its checks: the inverse CDF at one random()
+                cdf = (dist2[row] / total).cumsum()
+                cdf /= cdf[-1]
+                idx = int(cdf.searchsorted(rngs[row].random(), side="right"))
             chosen[row].append(idx)
         _seed_round(points, sq, tol, dist2, rows,
                     np.array([chosen[row][c] for row in rows]))
@@ -261,40 +268,65 @@ def _nearest_centroid(points, sq, centroids):
     return labels
 
 
+def _member_mean(points, labels, c):
+    """The mean of the points labelled ``c``, or None if there are none."""
+    members = points[labels == c]
+    if not len(members):
+        return None
+    # bit for bit members.mean(axis=0), without its overhead
+    return members.sum(axis=0) / len(members)
+
+
 def _lloyd(points, sq, centroids):
-    """Lloyd iterations from ``centroids``. Empty clusters are reseeded to
-    the point farthest from its assigned centroid."""
+    """Lloyd iterations from ``centroids`` -> (labels, centroids, iterations
+    run). Empty clusters are reseeded to the point farthest from its
+    assigned centroid.
+
+    A centroid that is the mean of the members it still has is kept: the
+    same members in the same order give the same sum, bit for bit, so its
+    shift is exactly 0. So only the clusters that gained or lost a point
+    are recomputed; in the first iteration, and after a reseed, whose
+    centroid is no member mean, every cluster is.
+    """
     k = len(centroids)
+    prev = None  # the labels every centroid is the member mean of, if any
     for iterations in range(1, _MAX_ITER + 1):
         labels = _nearest_centroid(points, sq, centroids)
+        if prev is None:
+            stale = [True] * k
+        else:
+            moved = labels != prev
+            changed = (np.bincount(labels[moved], minlength=k)
+                       + np.bincount(prev[moved], minlength=k))
+            stale = (changed > 0).tolist()
         new_centroids = centroids.copy()
+        reseeded = False
         for c in range(k):
-            members = points[labels == c]
-            if len(members):
-                # bit for bit members.mean(axis=0), without its overhead
-                new_centroids[c] = members.sum(axis=0) / len(members)
+            if not stale[c]:
+                continue
+            mean = _member_mean(points, labels, c)
+            if mean is not None:
+                new_centroids[c] = mean
             else:
                 # distance to the assigned centroid, as the labels stand
                 own = ((points - centroids[labels]) ** 2).sum(axis=1)
                 farthest = int(own.argmax())
                 new_centroids[c] = points[farthest]
+                stale[labels[farthest]] = True  # its cluster loses it
                 labels[farthest] = c
+                reseeded = True
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
+        prev = None if reseeded else labels
         if shift < _TOL:
             break
-    return ClusterAssignment(
-        k=k,
-        labels=labels.tolist(),
-        centroids=tuple(map(tuple, centroids.tolist())),
-        iterations_run=iterations,
-    )
+    return labels, centroids, iterations
 
 
 def _kmeans_runs(embeddings, ks, seeds):
-    """Yield the k-means of each K in ``ks`` in turn, K ``ks[i]`` seeded from
-    ``default_rng(seeds[i])``. Every K is seeded before the first yield;
-    Lloyd runs for one K at a time."""
+    """Yield ``_lloyd``'s (labels, centroids, iterations run) for each K in
+    ``ks`` in turn, K ``ks[i]`` seeded from ``default_rng(seeds[i])``. Every
+    K is seeded before the first yield; Lloyd runs for one K at a time."""
     points = np.asarray(embeddings, dtype=float)
     n = len(points)
     for k in ks:
@@ -313,8 +345,51 @@ def kmeans(embeddings, k, seed):
     Empty clusters are reseeded to the point farthest from its assigned
     centroid. Deterministic for a fixed seed.
     """
-    (assignment,) = _kmeans_runs(embeddings, [k], [seed])
-    return assignment
+    ((labels, centroids, iterations),) = _kmeans_runs(embeddings, [k], [seed])
+    return ClusterAssignment(
+        k=k,
+        labels=labels.tolist(),
+        centroids=tuple(map(tuple, centroids.tolist())),
+        iterations_run=iterations,
+    )
+
+
+def _root_paths(tree, codes):
+    """Every node on each code's root path, walked once: (the index of the
+    code, the node's number) per node, and the number of nodes."""
+    ids = {}  # node -> number, by first appearance
+    paths = [[ids.setdefault(node, len(ids)) for node in tree.ancestors(code)]
+             for code in codes]
+    owner = np.repeat(np.arange(len(paths)), [len(p) for p in paths])
+    nodes = np.fromiter(itertools.chain.from_iterable(paths), int, len(owner))
+    return owner, nodes, len(ids)
+
+
+def _clustering_distance(paths, labels, k):
+    """``avg_code_distance`` of the codes of ``paths`` (``_root_paths``)
+    clustered by ``labels``, an int array of values below ``k``.
+
+    A cluster of n members has pairwise distances summing to c * (n - c)
+    over the edges (node to parent) on its members' root paths, with c the
+    members below the edge; summed over its nodes, n * sum(c) - sum(c^2).
+    One bincount over (label, node) counts every cluster's c: exact
+    integers, as a pairwise loop's. The root is on every path, so its term
+    is 0.
+    """
+    owner, nodes, n_nodes = paths
+    below = np.bincount(labels[owner] * n_nodes + nodes,
+                        minlength=k * n_nodes).reshape(k, n_nodes)
+    sizes = np.bincount(labels, minlength=k)
+    totals = sizes * below.sum(axis=1) - (below * below).sum(axis=1)
+    _, first = np.unique(labels, return_index=True)
+    order = labels[np.sort(first)]  # clusters by first appearance
+    cluster_means = [
+        total / (n * (n - 1) // 2)
+        for n, total in zip(sizes[order].tolist(), totals[order].tolist())
+        if n >= 2]
+    if not cluster_means:
+        return float("nan")
+    return sum(cluster_means) / len(cluster_means)
 
 
 def avg_code_distance(tree, codes, assignment):
@@ -322,29 +397,12 @@ def avg_code_distance(tree, codes, assignment):
 
     Clusters with fewer than two members are excluded from the outer mean
     (the inner normalizer is undefined there); NaN when nothing remains.
-
-    A cluster of n members has pairwise distances summing to c * (n - c)
-    over the edges (node to parent) on its members' root paths, with c the
-    members below the edge: exact integers, as a pairwise loop's.
     """
-    labels = assignment.labels
-    if len(codes) != len(labels):
+    if len(codes) != len(assignment.labels):
         raise InvariantViolation("codes and labels length mismatch")
-    clusters = {}  # label -> members' root paths, by first appearance
-    for code, label in zip(codes, labels):
-        clusters.setdefault(label, []).append(tree.ancestors(code))
-    cluster_means = []
-    for paths in clusters.values():
-        n = len(paths)
-        if n >= 2:
-            below = collections.Counter(
-                itertools.chain.from_iterable(paths)).values()
-            # sum of c * (n - c); the root is on every path, so its term is 0
-            total = n * sum(below) - sum(map(operator.mul, below, below))
-            cluster_means.append(total / (n * (n - 1) // 2))
-    if not cluster_means:
-        return float("nan")
-    return sum(cluster_means) / len(cluster_means)
+    return _clustering_distance(_root_paths(tree, codes),
+                                np.array(assignment.labels, dtype=int),
+                                assignment.k)
 
 
 def hierarchy_benchmark(tree, codes, embeddings, ks, seed=0):
@@ -354,7 +412,10 @@ def hierarchy_benchmark(tree, codes, embeddings, ks, seed=0):
     ``kmeans(embeddings, K, [seed, K])`` whatever the other Ks are. All Ks
     are seeded together; each is clustered and scored before the next.
     """
+    if len(codes) != len(embeddings):
+        raise InvariantViolation("codes and embeddings length mismatch")
+    paths = _root_paths(tree, codes)
     runs = _kmeans_runs(embeddings, ks, [[seed, k] for k in ks])
-    per_k = {k: avg_code_distance(tree, codes, assignment)
-             for k, assignment in zip(ks, runs)}
+    per_k = {k: _clustering_distance(paths, labels, k)
+             for k, (labels, _, _) in zip(ks, runs)}
     return {"per_k": per_k, "mean": sum(per_k.values()) / len(per_k)}

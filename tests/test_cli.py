@@ -866,3 +866,36 @@ def test_offline_commands_skip_requests_import(tmp_path, argv):
     out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                          check=True, capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("eval-icd", {"ehrbench.ehr", "ehrbench.prompts", "ehrbench.metrics"}),
+    ("eval-sentences", {"ehrbench.ehr", "ehrbench.prompts", "ehrbench.icd"}),
+    ("predict", {"ehrbench.icd"}),
+])
+def test_commands_import_only_their_modules(tmp_path, command, absent):
+    """A command imports the submodules it runs and no other, so a fresh
+    process compiles no more of the package than it needs."""
+    import ehrbench
+
+    out = str(tmp_path / "out")
+    if command == "eval-icd":
+        argv = [command, "--order-file", TestEvalIcd.ORDER, "--ks", "2,3",
+                "--model", "hash-embed-8", "--output-dir", out]
+    elif command == "eval-sentences":
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("a b\tc d\t1\ne f\tg h\t2\ni j\tk l\t3\n")
+        argv = [command, "--pairs", str(pairs), "--output-dir", out]
+    else:
+        config_path, _ = write_run_config(tmp_path)
+        argv = [command, "--config", str(config_path)]
+    code = ("import json, sys, ehrbench.cli\n"
+            "assert ehrbench.cli.main(sys.argv[1:]) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(ehrbench.__file__)))
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    loaded = set(json.loads(out.splitlines()[-1]))
+    assert "ehrbench.gateway" in loaded
+    assert not loaded & absent, loaded & absent

@@ -199,6 +199,28 @@ class TestStubs:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+    @pytest.mark.parametrize("dim", [1, 3, 4, 5, 33, 256])
+    def test_stub_embed_equals_joined_blocks_form(self, dim):
+        texts = ["alpha", "", "Fièvre typhoïde, 伤寒", "alpha", "x" * 500]
+        got = _stub_embed(texts, dim)
+        want = joined_blocks_stub_embed(texts, dim)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def joined_blocks_stub_embed(texts, dim):
+    """``hash-embed-<dim>`` as first vectorised: every block kept, joined
+    into one bytes object, then scaled into two new arrays."""
+    n_blocks = -(-dim // 4)
+    blocks = []
+    for text in texts:
+        digest = hashlib.sha256(text.encode("utf-8")).digest()
+        blocks.extend(hashlib.sha256(digest + counter.to_bytes(4, "big"))
+                      .digest() for counter in range(n_blocks))
+    words = np.frombuffer(b"".join(blocks), ">u8")
+    return words.reshape(len(texts), 4 * n_blocks)[:, :dim] / 2**63 - 1.0
+
+
 def per_value_stub_embedding(text, dim):
     """``hash-embed-<dim>`` of one text, one Python float at a time: the
     reference the vectorised stub embedder must equal bit for bit."""
@@ -805,3 +827,98 @@ def test_malformed_embeddings_response(http_endpoint, tmp_path, capsys, name):
                  "--output-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+class TestErrorBudget:
+    """Once more jobs have failed than the budget allows, no job starts, and
+    each job not started is an error."""
+
+    @staticmethod
+    def every_third_fails(i):
+        if i % 3 == 0:
+            raise errors.GatewayError(f"job {i}")
+        return i
+
+    def test_jobs_within_the_budget_all_run(self):
+        results = gateway._run(self.every_third_fails,
+                               [(i,) for i in range(10)], 3, max_errors=4)
+        assert [str(r) if isinstance(r, Exception) else r
+                for r in results] == [
+            "job 0", 1, 2, "job 3", 4, 5, "job 6", 7, 8, "job 9"]
+
+    def test_no_job_starts_past_the_budget(self):
+        results = gateway._run(self.every_third_fails,
+                               [(i,) for i in range(10)], 1, max_errors=1)
+        assert [str(r) for r in results[:4]] == ["job 0", "1", "2", "job 3"]
+        assert all(isinstance(r, errors.GatewayError)
+                   and str(r) == "not sent: 2 requests had failed, more "
+                                 "than the 1 allowed" for r in results[4:])
+
+    def test_counts_hold_with_many_workers(self):
+        """Eight workers and a thread switch every microsecond: the jobs
+        sent are a prefix, at most one per worker past the budget, and the
+        failure count loses no update."""
+        def fail(i):
+            raise errors.GatewayError(f"job {i}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = gateway._run(fail, [(i,) for i in range(400)], 8,
+                                   max_errors=20)
+        finally:
+            sys.setswitchinterval(interval)
+        sent = [r for r in results if not str(r).startswith("not sent")]
+        assert 21 <= len(sent) <= 20 + 8
+        assert [str(r) for r in sent] == [f"job {i}" for i in range(len(sent))]
+        assert {str(r) for r in results[len(sent):]} == {
+            f"not sent: {len(sent)} requests had failed, more than the 20 "
+            "allowed"}
+
+    def test_predict_on_a_closed_port_sends_at_most_max_in_flight(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
+        sent = []
+        send = gateway.complete
+
+        def counted(prompt, cfg, sample_id):
+            sent.append(sample_id)
+            return send(prompt, cfg, sample_id=sample_id)
+
+        monkeypatch.setattr(gateway, "complete", counted)
+        config_path, _ = write_run_config(
+            tmp_path, n_patients=60,
+            endpoint_overrides={"base_url": "http://127.0.0.1:9",
+                                "timeout": 1, "max_in_flight": 3})
+        assert main(["predict", "--config", str(config_path)]) == 1
+        assert "exceeds --max-error-frac" in capsys.readouterr().err
+        report = load_report(tmp_path)
+        n_test = report["missing_rate"]["n_test"]
+        assert 0 < len(sent) <= 3 < n_test
+        assert report["n_errors"] == n_test
+        with open(tmp_path / "out" / "transcript.jsonl") as fh:
+            lines = [json.loads(line) for line in fh]
+        assert len(lines) == n_test
+        assert sum("not sent" in line["raw_text"] for line in lines) \
+            == n_test - len(sent)
+
+    def test_budget_is_the_exit_checks_own(self, tmp_path, monkeypatch):
+        """15 errors of 22 pass ``--max-error-frac`` 15 / 22, though
+        floor(15 / 22 * 22) is 14: every sample is sent."""
+        failing = []
+
+        def first_15_fail(prompt, cfg, sample_id):
+            if len(failing) < 15:
+                failing.append(sample_id)
+                raise errors.GatewayError("down", sample_id=sample_id)
+            return "0.5"
+
+        monkeypatch.setattr(gateway, "complete", first_15_fail)
+        config_path, _ = write_run_config(
+            tmp_path, n_patients=72, endpoint_overrides={"max_in_flight": 1})
+        assert main(["predict", "--config", str(config_path),
+                     "--max-error-frac", repr(15 / 22)]) == 0
+        report = load_report(tmp_path)
+        assert report["missing_rate"]["n_test"] == 22
+        assert report["n_errors"] == 15
+        assert report["status_counts"] == {"missing": 15, "decoded": 7}

@@ -200,6 +200,11 @@ class TestKmeans:
         with pytest.raises(errors.TooFewItems):
             kmeans([[0.0], [1.0]], k=3, seed=0)
 
+    def test_overflowing_squared_distances_raise(self):
+        with np.errstate(all="ignore"), \
+                pytest.raises(errors.InvariantViolation, match="overflow"):
+            kmeans([[1e200], [-1e200], [0.0]], k=2, seed=0)
+
     def test_labels_in_range(self, rng):
         points = rng.normal(size=(40, 3))
         assignment = kmeans(points, k=6, seed=9)
@@ -234,8 +239,15 @@ def direct_kmeans(embeddings, k, seed):
     first written: the reference its labels, centroids and iteration count
     must equal. Also returns how many empty clusters were reseeded."""
     points = np.asarray(embeddings, dtype=float)
-    n = len(points)
     centroids, _ = direct_pp_init(points, k, np.random.default_rng(seed))
+    return direct_lloyd(points, centroids)
+
+
+def direct_lloyd(points, centroids):
+    """Lloyd iterations from ``centroids`` in the direct form, every centroid
+    recomputed every iteration -> labels, centroids, iterations run and the
+    number of empty clusters reseeded."""
+    n, k = len(points), len(centroids)
     reseeds = 0
     for iterations in range(1, _MAX_ITER + 1):
         dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -257,6 +269,30 @@ def direct_kmeans(embeddings, k, seed):
             break
     return (tuple(int(x) for x in labels), tuple(map(tuple, centroids)),
             iterations, reseeds)
+
+
+def lloyd_updates(points, centroids):
+    """``icd._lloyd`` from ``centroids``, spied on: its result, and for each
+    iteration the clusters whose centroid it recomputed, in order, each with
+    whether it was empty (and so reseeded)."""
+    iterations = []
+    nearest, member_mean = icd._nearest_centroid, icd._member_mean
+
+    def nearest_spy(*args):
+        iterations.append([])
+        return nearest(*args)
+
+    def mean_spy(points, labels, c):
+        mean = member_mean(points, labels, c)
+        iterations[-1].append((c, mean is None))
+        return mean
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(icd, "_nearest_centroid", nearest_spy)
+        patch.setattr(icd, "_member_mean", mean_spy)
+        result = icd._lloyd(points, (points ** 2).sum(axis=1),
+                            centroids.copy())
+    return result, iterations
 
 
 def assert_seeding_matches_direct(points, ks, seeds):
@@ -349,6 +385,48 @@ class TestKmeansEqualsDirectForm:
     def test_all_identical_points(self):
         for i, value in enumerate((0.0, 1.0, -0.3, 1e3)):
             assert_matches_direct(np.full((15, 5), value), 4, i)
+
+
+class TestLloydSkipsUnchangedClusters:
+    """A cluster that neither gained nor lost a point keeps its centroid
+    instead of recomputing the same mean; the results stay the direct
+    form's."""
+
+    def test_final_iteration_recomputes_no_cluster(self, rng):
+        k = 5
+        points = (rng.normal(size=(200, 3))
+                  + 6 * rng.normal(size=(k, 3))[rng.integers(0, k, 200)])
+        start = points[rng.choice(len(points), k, replace=False)]
+        (labels, centroids, iterations), updates = lloyd_updates(points, start)
+        assert len(updates) == iterations > 2
+        assert updates[0] == [(c, False) for c in range(k)]
+        assert updates[-1] == []  # the labels stood still: shift 0
+        assert any(0 < len(u) < k for u in updates)
+        want = direct_lloyd(points, start)
+        assert (labels.tolist(), centroids.tobytes(), iterations) == \
+            (list(want[0]), np.array(want[1]).tobytes(), want[2])
+
+    # 1-D points, with the clusters {100, 110} and {1000, 1001} far away
+    # and started at their means: in the first, the second iteration
+    # empties cluster 2, whose reseed takes 100 from cluster 3, which
+    # otherwise has the members it had; in the second, the second iteration
+    # skips two clusters and the third empties one
+    @pytest.mark.parametrize("left, start", [
+        ((7.7, 8.3, 1.7, 3.7), (9.0, 0.8, 6.6)),
+        ((1.9, 5.4, 5.4, 5.2, 6.9, 2.0, 0.2, 2.0), (2.0, 9.9, 1.5)),
+    ])
+    def test_reseed_after_skipped_clusters(self, left, start):
+        points = np.array([*left, 100.0, 110.0, 1000.0, 1001.0])[:, None]
+        start = np.array([*start, 105.0, 1000.5])[:, None]
+        (labels, centroids, iterations), updates = lloyd_updates(points, start)
+        reseeded = [i for i, u in enumerate(updates) if any(e for _, e in u)]
+        assert reseeded and reseeded[0] >= 1
+        assert any(len(u) < len(start) for u in updates[1:reseeded[0] + 1])
+        want = direct_lloyd(points, start)
+        assert want[3] >= 1
+        assert labels.tolist() == list(want[0])
+        assert centroids.tobytes() == np.array(want[1]).tobytes()
+        assert iterations == want[2]
 
 
 def gaussian(rng, n):
