@@ -394,6 +394,9 @@ def _load_sentence_pairs(path):
                 gold = float(cells[2])
             except ValueError:
                 raise ParseError(f"bad gold score {cells[2]!r}", line=lineno)
+            if not 0.0 <= gold <= 4.0:
+                raise ParseError(f"gold score {gold} outside [0, 4]",
+                                 line=lineno)
             pairs.append((cells[0], cells[1], gold))
     return pairs
 
@@ -457,16 +460,13 @@ def _embeddings(args, keys, texts, key, n_summed):
 def cmd_eval_sentences(args):
     from . import metrics
 
-    raw_pairs = _load_sentence_pairs(args.pairs)
-    texts = list(dict.fromkeys(s for s1, s2, _ in raw_pairs for s in (s1, s2)))
-    vectors = _embeddings(args, texts, texts, "text", len(raw_pairs))
-    by_text = dict(zip(texts, vectors))
-    pairs = [
-        metrics.SimilarityPair(vec_a=by_text[s1], vec_b=by_text[s2],
-                               gold_score=g)
-        for s1, s2, g in raw_pairs
-    ]
-    grid = metrics.sentence_matching_eval(pairs)
+    pairs = _load_sentence_pairs(args.pairs)
+    texts = list(dict.fromkeys(s for s1, s2, _ in pairs for s in (s1, s2)))
+    vectors = _embeddings(args, texts, texts, "text", len(pairs))
+    index = {text: i for i, text in enumerate(texts)}
+    left = vectors[[index[s1] for s1, _, _ in pairs]]
+    right = vectors[[index[s2] for _, s2, _ in pairs]]
+    grid = metrics.sentence_matching_eval(left, right, [p[2] for p in pairs])
     columns = ["pearson_distance", "pearson", "spearman", "kendall"]
     _write_report(args.output_dir, "report",
                   {"n_pairs": len(pairs), "grid": grid},

@@ -1,7 +1,7 @@
-"""Longitudinal structured-EHR records: loading, imputation, splits.
+"""Longitudinal structured-EHR records: loading, LOCF filling, splits.
 
-Records are immutable after construction; every transformation returns a new
-record. Visit timestamps come in three flavors:
+Records are immutable after construction. Visit timestamps come in three
+flavors:
 
   * ``ordinal``  -- integer visit indices (0, 1, 2, ...)
   * ``hours``    -- real-valued hours since admission
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
@@ -415,7 +415,9 @@ def load_cohort(path, catalog, task, labels_path=None):
 
 
 def locf_series(series):
-    """Carry the most recent observed value into later missing slots."""
+    """Last observation carried forward: each missing slot takes the most
+    recent observed value. Slots before the first observation stay missing;
+    observed values are untouched. Idempotent."""
     out = []
     last = None
     for v in series:
@@ -423,17 +425,6 @@ def locf_series(series):
             last = v
         out.append(last)
     return tuple(out)
-
-
-def locf_impute(record):
-    """Last-observation-carried-forward over every feature series.
-
-    Slots before the first observation stay missing; observed values are
-    untouched. Idempotent.
-    """
-    return replace(
-        record, features={fid: locf_series(s) for fid, s in record.features.items()}
-    )
 
 
 def _allocate(count, fracs):

@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import threading
 import time
@@ -41,6 +42,8 @@ from .errors import (
 STUB_BASE_URL = "stub"
 # texts per embeddings request: text-embeddings-inference's default limit
 EMBED_CHUNK = 32
+# the longest wait a 429 or 503 Retry-After can ask for, in seconds
+RETRY_AFTER_CAP = 60.0
 
 
 @dataclass(frozen=True)
@@ -234,7 +237,8 @@ def _connect(cfg):
 
 
 def _exchange(conn, target, body, headers):
-    """POST ``body`` over ``conn``; return (status, response body).
+    """POST ``body`` over ``conn``; return (status, response body, its
+    ``Retry-After`` header or None).
 
     A kept-alive connection that fails before any response byte (the server
     closed it while idle) is reopened and the request sent once more. After
@@ -253,7 +257,7 @@ def _exchange(conn, target, body, headers):
             if hasattr(socket, "TCP_QUICKACK"):
                 conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
             resp = conn.getresponse()
-            return resp.status, resp.read()
+            return resp.status, resp.read(), resp.getheader("Retry-After")
         except BaseException as exc:
             conn.close()
             if not (reused and resp is None and isinstance(exc, ConnectionError)):
@@ -267,8 +271,11 @@ def _post_with_retries(cfg, path, payload, sample_id=None):
     Sends over the ``_run`` worker's kept-alive connection to the endpoint
     (see ``_exchange``); a call from any other thread opens a connection for
     this call only. 401/403 raise ``AuthFailure``. 429, 5xx, connection
-    errors and timeouts are retried ``cfg.max_retries`` times with
-    exponential backoff. Any other status (a 3xx too: http.client follows no
+    errors and timeouts are retried ``cfg.max_retries`` times. Before retry
+    ``attempt`` (from 0) it sleeps the delay-seconds of a 429's or 503's
+    ``Retry-After``, at most ``RETRY_AFTER_CAP``; otherwise (an HTTP-date
+    too) a uniform draw from [0, ``backoff_base * 2**attempt``], the "full
+    jitter" backoff. Any other status (a 3xx too: http.client follows no
     redirect), and a 2xx body that is not JSON, raise ``GatewayError``.
     """
     from http.client import HTTPException
@@ -285,8 +292,10 @@ def _post_with_retries(cfg, path, payload, sample_id=None):
     headers.update(proxy_headers)
     try:
         for attempt in range(cfg.max_retries + 1):
+            wait = None
             try:
-                status, data = _exchange(conn, prefix + path, body, headers)
+                status, data, retry_after = _exchange(conn, prefix + path,
+                                                      body, headers)
             except (OSError, HTTPException) as exc:
                 last_error = EndpointUnreachable(str(exc), sample_id=sample_id)
             else:
@@ -301,8 +310,14 @@ def _post_with_retries(cfg, path, payload, sample_id=None):
                     raise error(f"HTTP {status}", sample_id=sample_id)
                 error = RateLimited if status == 429 else EndpointUnreachable
                 last_error = error(f"HTTP {status}", sample_id=sample_id)
+                # delay-seconds is digits only (RFC 9110 section 10.2.3)
+                if status in (429, 503) and re.fullmatch(
+                        r"[0-9]+", (retry_after or "").strip()):
+                    wait = min(float(retry_after), RETRY_AFTER_CAP)
             if attempt < cfg.max_retries:
-                time.sleep(cfg.backoff_base * 2**attempt)
+                if wait is None:
+                    wait = random.uniform(0, cfg.backoff_base * 2**attempt)
+                time.sleep(wait)
     finally:
         if lone:
             conn.close()

@@ -64,21 +64,6 @@ class BootstrapResult:
             raise InvariantViolation("std must be >= 0")
 
 
-@dataclass(frozen=True)
-class SimilarityPair:
-    vec_a: tuple
-    vec_b: tuple
-    gold_score: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "vec_a", tuple(self.vec_a))
-        object.__setattr__(self, "vec_b", tuple(self.vec_b))
-        if len(self.vec_a) != len(self.vec_b):
-            raise InvariantViolation("vector dimensions differ")
-        if not 0.0 <= self.gold_score <= 4.0:
-            raise InvariantViolation(f"gold score {self.gold_score} outside [0, 4]")
-
-
 def _tie_groups(values):
     """(group of each value, size of each group); groups in ascending order."""
     _, group, counts = np.unique(np.asarray(values), return_inverse=True,
@@ -318,22 +303,30 @@ def _merge_sort_swaps(seq):
     return swaps
 
 
-def similarity(vec_a, vec_b, measure):
-    """Cosine similarity or L1/L2 distance between two vectors."""
-    a = np.asarray(vec_a, dtype=float)
-    b = np.asarray(vec_b, dtype=float)
+def _row_dots(a, b):
+    """``a[i] @ b[i]`` for each row i of two (n, d) arrays: a stack of
+    vector products, each the one-pair dot."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def similarities(a, b, measure):
+    """Cosine similarity or L1/L2 distance between each row of ``a`` and the
+    same row of ``b``, two (n, d) arrays; row i gets the arithmetic of one
+    pair, a norm being the square root of the row's own dot."""
     if a.shape != b.shape:
         raise InvariantViolation("vector dimensions differ")
     if measure == "cosine":
-        na = float(np.linalg.norm(a))
-        nb = float(np.linalg.norm(b))
-        if na == 0.0 or nb == 0.0:
-            raise ZeroVector("cosine undefined for a zero vector")
-        return float(a @ b) / (na * nb)
+        na, nb = np.sqrt(_row_dots(a, a)), np.sqrt(_row_dots(b, b))
+        zero = np.flatnonzero((na == 0.0) | (nb == 0.0))
+        if zero.size:
+            raise ZeroVector(f"pair {zero[0] + 1}: cosine undefined for a "
+                             "zero vector")
+        return _row_dots(a, b) / (na * nb)
     if measure == "l1":
-        return float(np.abs(a - b).sum())
+        return np.abs(a - b).sum(axis=1)
     if measure == "l2":
-        return float(np.linalg.norm(a - b))
+        diff = a - b
+        return np.sqrt(_row_dots(diff, diff))
     raise InvariantViolation(f"unknown measure {measure!r}")
 
 
@@ -348,14 +341,14 @@ MEASURES = ("cosine", "l1", "l2")
 CORRELATIONS = {"pearson": pearson, "spearman": spearman, "kendall": kendall}
 
 
-def sentence_matching_eval(pairs):
-    """3 similarity measures x 3 correlations grid plus Pearson distance."""
-    if len(pairs) < 2:
+def sentence_matching_eval(a, b, gold):
+    """3 similarity measures x 3 correlations grid plus Pearson distance;
+    pair i is row i of ``a`` and of ``b`` with gold score ``gold[i]``."""
+    if len(gold) < 2:
         raise InvariantViolation("need at least 2 pairs")
-    gold = [p.gold_score for p in pairs]
     grid = {}
     for measure in MEASURES:
-        predicted = [similarity(p.vec_a, p.vec_b, measure) for p in pairs]
+        predicted = similarities(a, b, measure)
         row = {
             name: corr(predicted, gold) for name, corr in CORRELATIONS.items()
         }

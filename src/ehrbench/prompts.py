@@ -15,7 +15,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .ehr import TASKS, TIME_DATE, TIME_ORDINAL, locf_impute
+from .ehr import TASKS, TIME_DATE, TIME_ORDINAL, locf_series
 from .errors import InvariantViolation, MissingGroupStats
 
 ROLE_SENTENCE = (
@@ -120,7 +120,7 @@ class PromptConfig:
             warnings.warn(
                 f"{self.n_icl_examples} in-context examples; performance "
                 f"degrades beyond {ICL_WARNING_THRESHOLD}",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -205,12 +205,13 @@ def _record_body(record, catalog, config, layout):
     catalog feature of the record, in catalog order, as value tokens."""
     if not record.features:
         raise InvariantViolation(f"record {record.patient_id}: no features")
+    features = record.features
     if config.missing_policy == "locf":
-        record = locf_impute(record)
+        features = {fid: locf_series(s) for fid, s in features.items()}
     rows = [
         (entry.display_name,
-         [format_value(v, entry) for v in record.features[entry.feature_id]])
-        for entry in catalog if entry.feature_id in record.features
+         [format_value(v, entry) for v in features[entry.feature_id]])
+        for entry in catalog if entry.feature_id in features
     ]
     sep = " " if record.time_kind == TIME_DATE else "\n"
     preamble = _preamble(record.sex, record.age, record.visit_times, sep)

@@ -382,6 +382,26 @@ def test_icl_examples_shared_by_ordinal_and_hour_records(tmp_path, capsys,
             entry["prompt_sha256"]
 
 
+def test_render_builds_no_record(tmp_path, monkeypatch):
+    """Rendering with the LOCF policy fills the series it prints and builds
+    no new ``PatientRecord``."""
+    from ehrbench.cli import RunPlan
+    from ehrbench.ehr import PatientRecord
+
+    config_path, _ = write_run_config(
+        tmp_path, prompt_overrides={"missing_policy": "locf",
+                                    "n_icl_examples": 2})
+    plan = RunPlan(str(config_path))
+    test = plan.splits.test.records
+    built = []
+    check = PatientRecord.__post_init__
+    monkeypatch.setattr(PatientRecord, "__post_init__",
+                        lambda self: built.append(check(self)))
+    prompts_by_id = {rec.patient_id: plan.render(rec) for rec in test}
+    assert len(prompts_by_id) == len(test) > 0
+    assert built == []
+
+
 class TestPromptPreview:
     def config_for_fixture(self, tmp_path, which, config_kwargs=None):
         config = {
@@ -547,6 +567,20 @@ class TestEvalSentences:
         assert main(["eval-sentences", "--pairs", str(path),
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gold, message", [
+        ("4.5", "gold score 4.5 outside [0, 4]"),
+        ("-0.5", "gold score -0.5 outside [0, 4]"),
+        ("nan", "gold score nan outside [0, 4]"),
+        ("x", "bad gold score 'x'"),
+    ], ids=["above", "below", "nan", "not-a-number"])
+    def test_bad_gold_score_exits_2(self, tmp_path, capsys, gold, message):
+        """The pairs file is checked as it is read, before any embedding."""
+        path = self.write_pairs(tmp_path, [("a", "b", 4.0), ("c", "d", gold)])
+        assert main(["eval-sentences", "--pairs", str(path),
+                     "--model", "hash-embed-nonsense",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
 
 
 class TestEvalIcd:

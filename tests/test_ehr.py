@@ -14,7 +14,6 @@ from ehrbench.ehr import (
     SplitSpec,
     load_catalog,
     load_cohort,
-    locf_impute,
     locf_series,
     split_cohort,
 )
@@ -270,12 +269,6 @@ class TestLocf:
 
     def test_leading_missing_survives(self):
         assert locf_series([None, None, 3.0]) == (None, None, 3.0)
-
-    def test_record_impute(self):
-        rec = make_record((0, 1, 2), [None, 5.0, None])
-        out = locf_impute(rec)
-        assert out.features["f"] == (None, 5.0, 5.0)
-        assert rec.features["f"] == (None, 5.0, None)  # input untouched
 
     @given(st.lists(st.one_of(st.none(), st.floats(allow_nan=False,
                                                    allow_infinity=False)),

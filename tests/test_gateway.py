@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 import socket
 import sys
@@ -281,6 +282,7 @@ class _Handler(BaseHTTPRequestHandler):
     embed_body = None  # raw 200 body for /embeddings; None: a vector per input
     chat_body = None   # raw 200 body for /chat/completions; None: "0.77"
     redirect_to = None  # Location of a 3xx; None: no Location
+    retry_after = None  # Retry-After of a 4xx or 5xx; None: no header
 
     def do_GET(self):
         type(self).requests_seen.append((self.path, dict(self.headers), None))
@@ -298,6 +300,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(answer)
             if 300 <= answer < 400 and self.redirect_to:
                 self.send_header("Location", self.redirect_to)
+            if answer >= 400 and self.retry_after is not None:
+                self.send_header("Retry-After", self.retry_after)
             self.end_headers()
             return
         if self.path.endswith("/embeddings"):
@@ -334,6 +338,7 @@ def http_endpoint():
     _Handler.embed_body = None
     _Handler.chat_body = None
     _Handler.redirect_to = None
+    _Handler.retry_after = None
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     server.server_close()
@@ -444,6 +449,54 @@ class TestHttpWireFormat:
         path, _, body = _Handler.requests_seen[0]
         assert path == "/embeddings"
         assert body == {"model": "emb", "input": ["a", "b"]}
+
+
+class TestRetryWait:
+    """What ``_post_with_retries`` sleeps before each retry: a 429's or
+    503's delay-seconds ``Retry-After`` up to the cap, else full jitter."""
+
+    @pytest.fixture
+    def waits(self, monkeypatch):
+        """(sleeps, jitter bounds); each jitter draw returns its bound."""
+        sleeps, bounds = [], []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+
+        def uniform(low, high):
+            bounds.append((low, high))
+            return high
+
+        monkeypatch.setattr(random, "uniform", uniform)
+        return sleeps, bounds
+
+    def run(self, endpoint, script, retry_after, backoff_base=0.5):
+        _Handler.script, _Handler.retry_after = script, retry_after
+        cfg = EndpointConfig(base_url=endpoint, model_name="m1",
+                             max_retries=len(script) - 1,
+                             backoff_base=backoff_base)
+        assert complete("x", cfg) == "0.77"
+        assert len(_Handler.requests_seen) == len(script)
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_delay_seconds_slept(self, http_endpoint, waits, status):
+        self.run(http_endpoint, [status, 200], "2")
+        assert waits == ([2], [])
+
+    def test_huge_delay_capped(self, http_endpoint, waits):
+        self.run(http_endpoint, [429, 200], "9" * 5000)
+        assert waits == ([gateway.RETRY_AFTER_CAP], [])
+
+    @pytest.mark.parametrize("value", ["Wed, 21 Oct 2015 07:28:00 GMT",
+                                       "-1", "1.5", "", "\u00b2"])
+    def test_other_values_fall_back_to_jitter(self, http_endpoint, waits,
+                                              value):
+        self.run(http_endpoint, [429, 200], value)
+        assert waits == ([0.5], [(0, 0.5)])
+
+    def test_server_error_jitter_within_bound(self, http_endpoint, waits):
+        """A 500's Retry-After is not honoured; retry i draws from
+        [0, backoff_base * 2**i]."""
+        self.run(http_endpoint, [500, 500, 500, 200], "1")
+        assert waits == ([0.5, 1.0, 2.0], [(0, 0.5), (0, 1.0), (0, 2.0)])
 
 
 class _KeepAliveHandler(BaseHTTPRequestHandler):

@@ -10,7 +10,6 @@ from conftest import random_scored_samples
 from ehrbench import errors, metrics
 from ehrbench.metrics import (
     ScoredSample,
-    SimilarityPair,
     _average_ranks,
     auprc,
     auroc,
@@ -20,7 +19,7 @@ from ehrbench.metrics import (
     pearson,
     pearson_distance,
     sentence_matching_eval,
-    similarity,
+    similarities,
     spearman,
 )
 
@@ -374,6 +373,27 @@ class TestCorrelations:
         assert abs(kendall(xs, ys) - want) <= 1e-12
 
 
+def similarity_reference(vec_a, vec_b, measure):
+    """One pair's value, as eval-sentences computed it pair by pair."""
+    a = np.asarray(vec_a, dtype=float)
+    b = np.asarray(vec_b, dtype=float)
+    if measure == "cosine":
+        na = float(np.linalg.norm(a))
+        nb = float(np.linalg.norm(b))
+        if na == 0.0 or nb == 0.0:
+            raise errors.ZeroVector("cosine undefined for a zero vector")
+        return float(a @ b) / (na * nb)
+    if measure == "l1":
+        return float(np.abs(a - b).sum())
+    return float(np.linalg.norm(a - b))
+
+
+def similarity(vec_a, vec_b, measure):
+    """``similarities`` of one pair."""
+    return float(similarities(np.array([vec_a], dtype=float),
+                              np.array([vec_b], dtype=float), measure)[0])
+
+
 class TestSimilarity:
     def test_cosine(self):
         assert similarity([1, 0], [1, 0], "cosine") == pytest.approx(1.0)
@@ -390,11 +410,33 @@ class TestSimilarity:
 
     def test_dimension_mismatch(self):
         with pytest.raises(errors.InvariantViolation):
-            similarity([1], [1, 2], "l2")
+            similarities(np.ones((1, 1)), np.ones((1, 2)), "l2")
 
     def test_unknown_measure(self):
         with pytest.raises(errors.InvariantViolation):
             similarity([1], [1], "hamming")
+
+    @pytest.mark.parametrize("measure", metrics.MEASURES)
+    @pytest.mark.parametrize("d", [1, 2, 3, 32, 257, 768])
+    def test_rows_equal_one_pair_at_a_time(self, rng, measure, d):
+        """Every row, bit for bit, the one-pair arithmetic; rows of mixed
+        magnitude and repeated rows included."""
+        n = 40
+        a = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        b = rng.normal(size=(n, d))
+        b[::7] = a[::7]
+        got = similarities(a, b, measure)
+        assert got.tolist() == [similarity_reference(a[i], b[i], measure)
+                                for i in range(n)]
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_zero_row_names_its_pair(self, rng, side):
+        a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        (a if side == "a" else b)[3] = 0.0
+        with pytest.raises(errors.ZeroVector, match="^pair 4: "):
+            similarities(a, b, "cosine")
+        # the distances are defined for a zero row
+        similarities(a, b, "l1")
 
 
 class TestPearsonDistance:
@@ -417,12 +459,11 @@ class TestSentenceMatchingEval:
     def test_monotone_fixture_cosine_pearson_one(self):
         # vec_b = vec_a scaled: cosine similarity 1 everywhere is constant,
         # so use pairs whose cosine tracks gold linearly instead
-        pairs = []
-        for gold in (0.0, 1.0, 2.0, 3.0, 4.0):
-            angle = (4.0 - gold) * math.pi / 8
-            pairs.append(SimilarityPair(
-                (1.0, 0.0), (math.cos(angle), math.sin(angle)), gold))
-        grid = sentence_matching_eval(pairs)
+        golds = [0.0, 1.0, 2.0, 3.0, 4.0]
+        angles = [(4.0 - gold) * math.pi / 8 for gold in golds]
+        a = np.array([[1.0, 0.0]] * len(golds))
+        b = np.array([[math.cos(t), math.sin(t)] for t in angles])
+        grid = sentence_matching_eval(a, b, golds)
         assert grid["cosine"]["spearman"] == pytest.approx(1.0)
         assert grid["cosine"]["kendall"] == pytest.approx(1.0)
         assert grid["cosine"]["pearson"] > 0.95
@@ -433,6 +474,6 @@ class TestSentenceMatchingEval:
             assert row["pearson_distance"] == pytest.approx(
                 math.sqrt(1 - row["pearson"]))
 
-    def test_gold_score_bounds(self):
-        with pytest.raises(errors.InvariantViolation):
-            SimilarityPair((1.0,), (1.0,), 4.5)
+    def test_one_pair_rejected(self):
+        with pytest.raises(errors.InvariantViolation, match="2 pairs"):
+            sentence_matching_eval(np.ones((1, 2)), np.ones((1, 2)), [1.0])

@@ -105,6 +105,17 @@ class TestSerialization:
         text = serialize_feature_wise(rec, cat, PromptConfig())
         assert '- f: "1.00"' in text
 
+    def test_locf_fills_the_rendering_not_the_record(self):
+        rec = PatientRecord("p", "male", 40.0, (0, 1, 2),
+                            {"f": (None, 5.0, None)})
+        from ehrbench.ehr import FeatureCatalog, FeatureCatalogEntry
+        cat = FeatureCatalog([FeatureCatalogEntry("f", "f", None, None,
+                                                  "numeric")])
+        text = build_prompt(rec, cat, PromptConfig(missing_policy="locf")).text
+        assert '- f: "nan, 5.00, 5.00"' in text
+        assert NAN_SENTENCE in text  # the leading slot stays missing
+        assert rec.features == {"f": (None, 5.0, None)}
+
     def test_visit_wise_blocks(self, vitals_record, vitals_catalog):
         text = serialize_visit_wise(
             vitals_record, vitals_catalog,
@@ -295,3 +306,5 @@ def test_config_validation():
         warnings.simplefilter("always")
         PromptConfig(n_icl_examples=4)
     assert any("degrades" in str(w.message) for w in caught)
+    # the warning points at the line that built the config
+    assert caught[0].filename == __file__
