@@ -277,9 +277,7 @@ def _score(outcomes, records, boot):
     results = metrics.bootstrap_pass(samples, ("auroc", "auprc"),
                                      n=boot.n, seed=boot.seed)
     return {name: {"error": str(result)} if isinstance(result, Exception)
-            else {"mean": result.mean, "std": result.std,
-                  "n_resamples": result.n_resamples, "seed": result.seed}
-            for name, result in results.items()}
+            else vars(result) for name, result in results.items()}
 
 
 REPORT_COLUMNS = ["label", "fingerprint", "n_test", "n_decoded",
@@ -317,24 +315,20 @@ def cmd_predict(args):
     plan = RunPlan(args.config)
     test = plan.splits.test.records
     t0 = time.monotonic()
-    rendered = {rec.patient_id: plan.render(rec) for rec in test}
-    # the most errors the exit check below lets pass: floor(frac * n), by
-    # that check's own division (0.29 * 100 is 28.999999999999996)
-    max_errors = sum(e / len(test) <= args.max_error_frac
-                     for e in range(1, len(test) + 1))
+    rendered = {rec.patient_id: plan.render(rec).text for rec in test}
     results = gateway.complete_batch(rendered, plan.config.endpoint,
-                                     max_errors)
-    outcomes, transcript = {}, []
+                                     args.max_error_frac)
+    outcomes, transcript, n_errors = {}, [], 0
     for sid, result in sorted(results.items()):
         if isinstance(result, Exception):
+            n_errors += 1
             o = outcomes[sid] = gateway.PredictionOutcome(
                 sid, "missing", None, f"<error: {result}>")
         else:
             o = outcomes[sid] = gateway.decode_probability(result, sid)
-        sha = hashlib.sha256(rendered[sid].text.encode("utf-8")).hexdigest()
+        sha = hashlib.sha256(rendered[sid].encode("utf-8")).hexdigest()
         transcript.append(json.dumps({**vars(o), "prompt_sha256": sha},
                                      sort_keys=True) + "\n")
-    n_errors = sum(isinstance(r, Exception) for r in results.values())
     del rendered  # free the prompts before the bootstrap
     rate = gateway.missing_rate(
         outcomes.values(),
@@ -360,7 +354,7 @@ def cmd_predict(args):
     _write_report(out_dir, "report", report, REPORT_COLUMNS,
                   [_report_row(report, os.path.join(out_dir, "report.json"))],
                   transcript="".join(transcript))
-    error_frac = n_errors / len(outcomes) if outcomes else 0.0
+    error_frac = n_errors / len(outcomes)
     if error_frac > args.max_error_frac:
         print(f"error fraction {error_frac:.3f} exceeds "
               f"--max-error-frac {args.max_error_frac}", file=sys.stderr)

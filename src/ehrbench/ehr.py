@@ -10,6 +10,7 @@ flavors:
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from datetime import date
@@ -51,6 +52,9 @@ def _time_keys(patient_id, visit_times):
     numbers."""
     n_dates = sum(isinstance(t, str) for t in visit_times)
     if n_dates == 0:
+        if not all(map(math.isfinite, visit_times)):
+            raise InvariantViolation(
+                f"record {patient_id}: visit_times must be finite")
         return list(visit_times)
     if n_dates < len(visit_times):
         raise InvariantViolation(

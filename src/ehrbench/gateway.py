@@ -42,8 +42,8 @@ from .errors import (
 STUB_BASE_URL = "stub"
 # texts per embeddings request: text-embeddings-inference's default limit
 EMBED_CHUNK = 32
-# the longest wait a 429 or 503 Retry-After can ask for, in seconds
-RETRY_AFTER_CAP = 60.0
+# the longest wait before a retry, in seconds: a Retry-After or a jitter draw
+RETRY_WAIT_CAP = 60.0
 
 
 @dataclass(frozen=True)
@@ -158,12 +158,12 @@ def stub_complete(prompt_text, model_name):
 _worker = threading.local()
 
 
-def _run(fn, jobs, max_in_flight, max_errors=None):
+def _run(fn, jobs, max_in_flight, max_error_frac=1.0):
     """[``fn(*job)`` or the ``Exception`` it raised, for each of the sized
     ``jobs``], in job order, from up to ``max_in_flight`` threads that pull
     jobs from one shared iterator and keep one connection per endpoint,
-    closed when no job is left. Once more than ``max_errors`` jobs have
-    failed, no job starts; each job not started gives a ``GatewayError``."""
+    closed when no job is left. Once failed / len(jobs) > ``max_error_frac``,
+    no job starts; each job not started gives a ``GatewayError``."""
     results = [None] * len(jobs)
     pending = enumerate(jobs)
     started = failed = 0
@@ -185,7 +185,7 @@ def _run(fn, jobs, max_in_flight, max_errors=None):
                     results[i] = exc
                     with lock:
                         failed += 1
-                        if max_errors is not None and failed > max_errors:
+                        if failed / len(jobs) > max_error_frac:
                             pending = iter(())
         finally:
             for conn, _, _ in _worker.conns.values():
@@ -198,8 +198,8 @@ def _run(fn, jobs, max_in_flight, max_errors=None):
     for thread in threads:
         thread.join()
     for i in range(started, len(jobs)):
-        results[i] = GatewayError(f"not sent: {failed} requests had failed, "
-                                  f"more than the {max_errors} allowed")
+        results[i] = GatewayError(f"not sent: {failed} of {len(jobs)} failed, "
+                                  f"more than the {max_error_frac} allowed")
     return results
 
 
@@ -273,10 +273,11 @@ def _post_with_retries(cfg, path, payload, sample_id=None):
     this call only. 401/403 raise ``AuthFailure``. 429, 5xx, connection
     errors and timeouts are retried ``cfg.max_retries`` times. Before retry
     ``attempt`` (from 0) it sleeps the delay-seconds of a 429's or 503's
-    ``Retry-After``, at most ``RETRY_AFTER_CAP``; otherwise (an HTTP-date
-    too) a uniform draw from [0, ``backoff_base * 2**attempt``], the "full
-    jitter" backoff. Any other status (a 3xx too: http.client follows no
-    redirect), and a 2xx body that is not JSON, raise ``GatewayError``.
+    ``Retry-After``; otherwise (an HTTP-date too) a uniform draw from
+    [0, ``backoff_base * 2**attempt``], the "full jitter" backoff. Either
+    wait is at most ``RETRY_WAIT_CAP``. Any other status (a 3xx too:
+    http.client follows no redirect), and a 2xx body that is not JSON,
+    raise ``GatewayError``.
     """
     from http.client import HTTPException
 
@@ -290,6 +291,7 @@ def _post_with_retries(cfg, path, payload, sample_id=None):
         conns[cfg] = _connect(cfg)
     conn, prefix, proxy_headers = conns[cfg]
     headers.update(proxy_headers)
+    jitter = min(cfg.backoff_base, RETRY_WAIT_CAP)  # doubled per retry
     try:
         for attempt in range(cfg.max_retries + 1):
             wait = None
@@ -313,10 +315,11 @@ def _post_with_retries(cfg, path, payload, sample_id=None):
                 # delay-seconds is digits only (RFC 9110 section 10.2.3)
                 if status in (429, 503) and re.fullmatch(
                         r"[0-9]+", (retry_after or "").strip()):
-                    wait = min(float(retry_after), RETRY_AFTER_CAP)
+                    wait = min(float(retry_after), RETRY_WAIT_CAP)
             if attempt < cfg.max_retries:
                 if wait is None:
-                    wait = random.uniform(0, cfg.backoff_base * 2**attempt)
+                    wait = random.uniform(0, jitter)
+                jitter = min(2 * jitter, RETRY_WAIT_CAP)
                 time.sleep(wait)
     finally:
         if lone:
@@ -324,13 +327,12 @@ def _post_with_retries(cfg, path, payload, sample_id=None):
     raise last_error
 
 
-def complete(prompt, cfg, sample_id=None):
-    """One chat completion; returns the raw response text.
+def complete(text, cfg, sample_id=None):
+    """One chat completion of ``text``; returns the raw response text.
 
     A body without a string ``choices[0].message.content`` raises
     ``GatewayError``.
     """
-    text = prompt.text if hasattr(prompt, "text") else str(prompt)
     if cfg.is_stub:
         return stub_complete(text, cfg.model_name)
     payload = {
@@ -352,11 +354,11 @@ def complete(prompt, cfg, sample_id=None):
     return content
 
 
-def complete_batch(prompts_by_id, cfg, max_errors=None):
-    """{sample_id: raw_text or GatewayError}, one ``_run`` job per prompt;
-    once more than ``max_errors`` have failed, no prompt is sent."""
-    results = _run(lambda sid, prompt: complete(prompt, cfg, sample_id=sid),
-                   prompts_by_id.items(), cfg.max_in_flight, max_errors)
+def complete_batch(prompts_by_id, cfg, max_error_frac=1.0):
+    """{sample_id: raw_text or GatewayError}, one ``_run`` job per prompt
+    text; past ``max_error_frac`` of them failed, no prompt is sent."""
+    results = _run(lambda sid, text: complete(text, cfg, sample_id=sid),
+                   prompts_by_id.items(), cfg.max_in_flight, max_error_frac)
     return dict(zip(prompts_by_id, results))
 
 
@@ -411,7 +413,7 @@ def embed(texts, cfg):
         return _stub_embed(texts, int(dim))
     chunks = [(start, texts[start:start + EMBED_CHUNK], cfg)
               for start in range(0, len(texts), EMBED_CHUNK)]
-    blocks = _run(_embed_chunk, chunks, cfg.max_in_flight, max_errors=0)
+    blocks = _run(_embed_chunk, chunks, cfg.max_in_flight, max_error_frac=0.0)
     for (start, _, _), block in zip(chunks, blocks):
         if isinstance(block, Exception):
             raise block

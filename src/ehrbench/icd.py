@@ -178,7 +178,8 @@ def _rounding_tol(sq, other_sq, d):
     return 8 * (d + 3) * np.finfo(float).eps * radius ** 2
 
 
-_SEED_BLOCK = 128  # (K, point) pairs recomputed in the direct form at once
+# (K, point) or (point, centroid) pairs recomputed in the direct form at once
+_SEED_BLOCK = 128
 
 
 def _seed_round(points, sq, tol, dist2, rows, centres):
@@ -252,19 +253,26 @@ def _nearest_centroid(points, sq, centroids):
     from one matrix product. A row whose computed gap between its best two
     values exceeds twice the two forms' difference has the same unique
     argmin in both; rows whose gap is within ``_rounding_tol`` are
-    recomputed in the direct form.
+    recomputed in the direct form, ``_SEED_BLOCK // k`` rows (at least one)
+    at a time: a row's direct distances do not depend on the other rows.
     """
+    k = len(centroids)
     csq = (centroids ** 2).sum(axis=1)
     dist2 = sq[:, None] - 2.0 * (points @ centroids.T) + csq
     labels = dist2.argmin(axis=1)
-    if len(centroids) > 1:
+    if k > 1:
         best2 = np.partition(dist2, 1, axis=1)
         tol = _rounding_tol(sq, csq.max(), points.shape[1])
         near = np.flatnonzero(best2[:, 1] - best2[:, 0] <= tol)
-        if len(near):
-            direct = ((points[near, None, :] - centroids[None, :, :]) ** 2
-                      ).sum(axis=2)
-            labels[near] = direct.argmin(axis=1)
+        step = max(1, _SEED_BLOCK // k)
+        # one buffer, filled in place by every block: no allocation per block
+        diff = np.empty((min(step, len(near)), k, points.shape[1]))
+        for start in range(0, len(near), step):
+            rows = near[start:start + step]
+            block = diff[:len(rows)]
+            np.subtract(points[rows, None, :], centroids, out=block)
+            block *= block
+            labels[rows] = block.sum(axis=2).argmin(axis=1)
     return labels
 
 
@@ -301,20 +309,24 @@ def _lloyd(points, sq, centroids):
             stale = (changed > 0).tolist()
         new_centroids = centroids.copy()
         reseeded = False
+        farthest = None  # from its assigned centroid, as the labels stand
         for c in range(k):
             if not stale[c]:
                 continue
             mean = _member_mean(points, labels, c)
             if mean is not None:
                 new_centroids[c] = mean
-            else:
-                # distance to the assigned centroid, as the labels stand
+                continue
+            if farthest is None:
                 own = ((points - centroids[labels]) ** 2).sum(axis=1)
                 farthest = int(own.argmax())
-                new_centroids[c] = points[farthest]
-                stale[labels[farthest]] = True  # its cluster loses it
-                labels[farthest] = c
-                reseeded = True
+            # labels name nearest centroids, so the point is no nearer to c's
+            # centroid than to its own: after this reseed it is still the
+            # farthest, and every empty cluster takes it in turn
+            new_centroids[c] = points[farthest]
+            stale[labels[farthest]] = True  # its cluster loses it
+            labels[farthest] = c
+            reseeded = True
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         prev = None if reseeded else labels

@@ -2,6 +2,7 @@ import collections
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -304,6 +305,9 @@ BAD_RECORDS = {
     "age_not_number": (lambda rs: rs[2].update(age="old"), "line 3"),
     "visit_time_null":
         (lambda rs: rs[2]["visit_times"].__setitem__(0, None), "line 3"),
+    "visit_time_nan":
+        (lambda rs: rs[2]["visit_times"].__setitem__(0, math.nan),
+         "visit_times must be finite"),
     "visit_times_mixed":
         (lambda rs: rs[2]["visit_times"].__setitem__(0, "2020-01-01"),
          "line 3"),
@@ -347,6 +351,22 @@ def test_long_csv_patient_mixing_dates_and_numbers_exits_2(tmp_path, capsys):
     assert main(["predict", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: record p1: visit_times mix ISO dates and numbers\n"
+
+
+@pytest.mark.parametrize("visit_time", ["nan", "inf", "-1e400"])
+def test_long_csv_non_finite_visit_time_exits_2(tmp_path, capsys, visit_time):
+    """float() reads these; each would print as a visit time in the
+    prompt."""
+    config_path, config = write_run_config(tmp_path)
+    cohort, labels = tmp_path / "cohort.csv", tmp_path / "labels.csv"
+    cohort.write_text("patient_id,visit_time,feature_id,value\n"
+                      f"p1,1,hr,80\np1,{visit_time},hr,81\n")
+    labels.write_text("patient_id,task,label\np1,mortality,1\n")
+    config["data"].update(cohort=str(cohort), labels=str(labels))
+    config_path.write_text(json.dumps(config))
+    assert main(["predict", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: record p1: visit_times must be finite\n"
 
 
 def test_icl_examples_shared_by_ordinal_and_hour_records(tmp_path, capsys,

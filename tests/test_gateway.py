@@ -483,7 +483,7 @@ class TestRetryWait:
 
     def test_huge_delay_capped(self, http_endpoint, waits):
         self.run(http_endpoint, [429, 200], "9" * 5000)
-        assert waits == ([gateway.RETRY_AFTER_CAP], [])
+        assert waits == ([gateway.RETRY_WAIT_CAP], [])
 
     @pytest.mark.parametrize("value", ["Wed, 21 Oct 2015 07:28:00 GMT",
                                        "-1", "1.5", "", "\u00b2"])
@@ -497,6 +497,33 @@ class TestRetryWait:
         [0, backoff_base * 2**i]."""
         self.run(http_endpoint, [500, 500, 500, 200], "1")
         assert waits == ([0.5, 1.0, 2.0], [(0, 0.5), (0, 1.0), (0, 2.0)])
+
+    def test_huge_backoff_capped(self, http_endpoint, monkeypatch):
+        """An unpatched jitter draw from ``backoff_base`` 1e10 is held to
+        the cap, so ``time.sleep`` gets no value it cannot take."""
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        _Handler.script = [500]
+        cfg = EndpointConfig(base_url=http_endpoint, model_name="m1",
+                             max_retries=2, backoff_base=1e10)
+        with pytest.raises(errors.EndpointUnreachable, match="HTTP 500"):
+            complete("x", cfg)
+        assert len(sleeps) == 2
+        assert all(0 <= s <= 60 for s in sleeps)
+
+    def test_many_retries_do_not_overflow(self, http_endpoint, waits):
+        """The jitter bound is doubled per retry and held to the cap, so
+        retry 1,100 computes no 2**1100."""
+        _Handler.script = [500]
+        cfg = EndpointConfig(base_url=http_endpoint, model_name="m1",
+                             max_retries=1100)
+        with pytest.raises(errors.EndpointUnreachable, match="HTTP 500"):
+            complete("x", cfg)
+        sleeps, bounds = waits
+        assert len(_Handler.requests_seen) == 1101
+        assert bounds[:3] == [(0, 0.5), (0, 1.0), (0, 2.0)]
+        assert bounds[-1] == (0, gateway.RETRY_WAIT_CAP)
+        assert max(sleeps) == gateway.RETRY_WAIT_CAP
 
 
 class _KeepAliveHandler(BaseHTTPRequestHandler):
@@ -894,18 +921,27 @@ class TestErrorBudget:
 
     def test_jobs_within_the_budget_all_run(self):
         results = gateway._run(self.every_third_fails,
-                               [(i,) for i in range(10)], 3, max_errors=4)
+                               [(i,) for i in range(10)], 3, 0.4)
         assert [str(r) if isinstance(r, Exception) else r
                 for r in results] == [
             "job 0", 1, 2, "job 3", 4, 5, "job 6", 7, 8, "job 9"]
 
     def test_no_job_starts_past_the_budget(self):
         results = gateway._run(self.every_third_fails,
-                               [(i,) for i in range(10)], 1, max_errors=1)
+                               [(i,) for i in range(10)], 1, 0.1)
         assert [str(r) for r in results[:4]] == ["job 0", "1", "2", "job 3"]
         assert all(isinstance(r, errors.GatewayError)
-                   and str(r) == "not sent: 2 requests had failed, more "
-                                 "than the 1 allowed" for r in results[4:])
+                   and str(r) == "not sent: 2 of 10 failed, more than the "
+                                 "0.1 allowed"
+                   for r in results[4:])
+
+    def test_a_budget_of_0_29_lets_29_of_100_pass(self):
+        """0.29 * 100 is 28.999999999999996, yet 29 failures of 100 are
+        within 0.29 by the exit check's division: the 30th stops."""
+        results = gateway._run(lambda i: 1 / 0, [(i,) for i in range(100)],
+                               1, 0.29)
+        assert sum(isinstance(r, ZeroDivisionError) for r in results) == 30
+        assert str(results[30]).startswith("not sent: 30 of 100 ")
 
     def test_counts_hold_with_many_workers(self):
         """Eight workers and a thread switch every microsecond: the jobs
@@ -917,15 +953,14 @@ class TestErrorBudget:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = gateway._run(fail, [(i,) for i in range(400)], 8,
-                                   max_errors=20)
+            results = gateway._run(fail, [(i,) for i in range(400)], 8, 0.05)
         finally:
             sys.setswitchinterval(interval)
         sent = [r for r in results if not str(r).startswith("not sent")]
         assert 21 <= len(sent) <= 20 + 8
         assert [str(r) for r in sent] == [f"job {i}" for i in range(len(sent))]
         assert {str(r) for r in results[len(sent):]} == {
-            f"not sent: {len(sent)} requests had failed, more than the 20 "
+            f"not sent: {len(sent)} of 400 failed, more than the 0.05 "
             "allowed"}
 
     def test_predict_on_a_closed_port_sends_at_most_max_in_flight(

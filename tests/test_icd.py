@@ -1,6 +1,7 @@
 import collections
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,6 +386,28 @@ class TestKmeansEqualsDirectForm:
     def test_all_identical_points(self):
         for i, value in enumerate((0.0, 1.0, -0.3, 1e3)):
             assert_matches_direct(np.full((15, 5), value), 4, i)
+
+
+class TestKmeansEqualsDirectFormInSmallBlocks(TestKmeansEqualsDirectForm):
+    """Every family again, with the seeding's pairs and the near-tie rows
+    recomputed a few (point, centre) pairs at a time."""
+
+    @pytest.fixture(autouse=True, params=[1, 3])
+    def small_block(self, request, monkeypatch):
+        monkeypatch.setattr(icd, "_SEED_BLOCK", request.param)
+
+
+def test_near_tie_rows_are_recomputed_in_blocks():
+    """Identical points tie every row at every centroid: the direct form is
+    recomputed a block at a time, not as one n x k x d tensor (158 MB for
+    this 3 MB matrix)."""
+    tracemalloc.start()
+    try:
+        kmeans(np.full((1500, 256), 0.3), 50, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 class TestLloydSkipsUnchangedClusters:

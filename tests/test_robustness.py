@@ -1,12 +1,14 @@
 """No input makes a command print a traceback.
 
 Each command runs in-process on valid inputs with one mutation: a config or
-report key dropped, retyped, added or nested wrong; an input file truncated
-or garbled; a directory where a file is expected, or a file where the output
-directory goes. The run must end with exit 0, 1 or 2 (argparse's
-``SystemExit(2)`` included) and raise nothing else. Every path is relative to
-a fresh working directory, and no socket can be opened, so a mutated URL or
-path reaches nothing outside it.
+report key dropped, retyped, added or nested wrong; a CSV cell dropped, a
+row repeated, a header renamed, a label or ``visit_time`` garbled; an input
+file truncated or garbled; a directory where a file is expected, or a file
+where the output directory goes; or a ``--ks``, ``--seed`` or
+``--sample-id`` value replaced. The run must end with exit 0, 1 or 2
+(argparse's ``SystemExit(2)`` included) and raise nothing else. Every path
+is relative to a fresh working directory, and no socket can be opened, so a
+mutated URL or path reaches nothing outside it.
 """
 import contextlib
 import functools
@@ -36,6 +38,12 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 VALUES = [None, True, 0, 1, -1, 3, 0.5, 1e300, "", "x", "stub", [], [1], {},
           {"k": 1}]
 ADDED_KEYS = ["extra", "n", "seed", "task", "model_name", "output_dir"]
+# what a mutated label, visit_time, header or argument holds
+CELLS = ["", " ", "x", "2", "-1", "0.5", "1e400", "nan", "inf", "0x10",
+         "2020-02-30", "20200131", "2020-01-01T00:00", "p000 ", "P000",
+         "\u0663", "1_0", str(2**70), "2,2", "2,,3", "3,x", "-x"]
+# flags whose value a mutation may replace
+MUTABLE_FLAGS = ("--ks", "--seed", "--sample-id")
 
 
 @contextlib.contextmanager
@@ -95,6 +103,27 @@ def _run_files():
 
 
 @functools.lru_cache(maxsize=None)
+def _long_csv_files():
+    """predict's valid inputs with the cohort as a long CSV and its labels
+    CSV."""
+    cohort = synthetic_cohort(n_patients=20, seed=7)
+    rows = ["patient_id,visit_time,feature_id,value\n"]
+    for rec in cohort.records:
+        for i, t in enumerate(rec.visit_times):
+            rows += [f"{rec.patient_id},{t},{fid},{series[i]}\n"
+                     for fid, series in rec.features.items()
+                     if series[i] is not None]
+    labels = ["patient_id,task,label\n"] + [
+        f"{rec.patient_id},mortality,{rec.label}\n" for rec in cohort.records]
+    config = json.loads(_run_files()["config.json"])
+    config["data"].update(cohort="cohort.csv", labels="labels.csv")
+    return {"config.json": _json(config),
+            "catalog.csv": _run_files()["catalog.csv"],
+            "cohort.csv": "".join(rows).encode(),
+            "labels.csv": "".join(labels).encode()}
+
+
+@functools.lru_cache(maxsize=None)
 def _report_files():
     with tempfile.TemporaryDirectory() as tmp, _working_dir(tmp):
         _write(_run_files())
@@ -130,11 +159,13 @@ def _sentence_files():
 # command -> (its valid input files, its argv)
 COMMANDS = {
     "predict": (_run_files, ["predict", "--config", "config.json"]),
+    "predict-long-csv": (_long_csv_files,
+                         ["predict", "--config", "config.json"]),
     "prompt-preview": (_run_files, ["prompt-preview", "--config",
                                     "config.json", "--sample-id", "p000"]),
     "eval-icd": (_icd_files, ["eval-icd", "--order-file", "codes.order",
                               "--embeddings-file", "emb.jsonl", "--ks", "2,3",
-                              "--output-dir", "out"]),
+                              "--seed", "0", "--output-dir", "out"]),
     "eval-sentences": (_sentence_files, [
         "eval-sentences", "--pairs", "pairs.tsv", "--embeddings-file",
         "emb.jsonl", "--output-dir", "out"]),
@@ -184,16 +215,49 @@ def _mutated_json(draw, data):
 
 
 @st.composite
-def _mutation(draw, files):
-    """(the input files with one mutated, whether ``out`` is a file)."""
-    files = dict(files)
-    name = draw(st.sampled_from(sorted(files) + ["out"]))
+def _csv_mutation(draw, data):
+    """A CSV with one cell dropped, one row repeated, or one header or data
+    cell replaced; the data cell is a long cohort's ``visit_time`` or a
+    labels file's label, if the file has that column."""
+    lines = data.splitlines(keepends=True)
+    header = lines[0].rstrip(b"\n").split(b",")
+    kind = draw(st.sampled_from(["drop", "repeat", "header", "cell"]))
+    i = 0 if kind == "header" else draw(st.integers(1, len(lines) - 1))
+    if kind == "repeat":
+        lines.insert(draw(st.integers(1, len(lines))), lines[i])
+        return b"".join(lines)
+    cells = lines[i].rstrip(b"\n").split(b",")
+    j = draw(st.integers(0, len(cells) - 1))
+    if kind == "drop":
+        del cells[j]
+    else:
+        for column in (b"visit_time", b"label"):
+            if kind == "cell" and column in header:
+                j = header.index(column)
+        cells[j] = draw(st.sampled_from(CELLS)).encode()
+    lines[i] = b",".join(cells) + b"\n"
+    return b"".join(lines)
+
+
+@st.composite
+def _mutation(draw, files, argv):
+    """(the input files, whether ``out`` is a file, the argv), with one
+    input file or one ``MUTABLE_FLAGS`` value mutated."""
+    files, argv = dict(files), list(argv)
+    flags = [i + 1 for i, arg in enumerate(argv) if arg in MUTABLE_FLAGS]
+    name = draw(st.sampled_from(sorted(files) + ["out"]
+                                + ["argv"] * bool(flags)))
     if name == "out":
-        return files, True
+        return files, True, argv
+    if name == "argv":
+        argv[draw(st.sampled_from(flags))] = draw(st.sampled_from(CELLS))
+        return files, False, argv
     data = files[name]
     kinds = ["truncate", "garble", "directory"]
     if name.endswith((".json", ".jsonl")):
         kinds += ["json"] * 3
+    if name.endswith(".csv"):
+        kinds += ["csv"] * 3
     kind = draw(st.sampled_from(kinds))
     if kind == "truncate":
         files[name] = data[:draw(st.integers(0, len(data) - 1))]
@@ -203,6 +267,8 @@ def _mutation(draw, files):
         files[name] = data[:start] + chunk + data[start + len(chunk):]
     elif kind == "directory":
         files[name] = None
+    elif kind == "csv":
+        files[name] = draw(_csv_mutation(data))
     elif name.endswith(".json"):
         files[name] = draw(_mutated_json(data))
     else:  # one JSON Lines record
@@ -210,7 +276,7 @@ def _mutation(draw, files):
         i = draw(st.integers(0, len(lines) - 1))
         lines[i] = draw(_mutated_json(lines[i])).replace(b"\n", b"") + b"\n"
         files[name] = b"".join(lines)
-    return files, False
+    return files, False, argv
 
 
 @pytest.fixture
@@ -231,7 +297,7 @@ def no_network(monkeypatch):
 @given(data=st.data())
 def test_mutated_input_exits_cleanly(no_network, command, data):
     inputs, argv = COMMANDS[command]
-    files, out_is_file = data.draw(_mutation(inputs()))
+    files, out_is_file, argv = data.draw(_mutation(inputs(), argv))
     with tempfile.TemporaryDirectory() as tmp, _working_dir(tmp):
         for name, content in files.items():
             if content is None:
