@@ -85,6 +85,8 @@ class PatientRecord:
             raise InvariantViolation(f"record {pid}: sex {self.sex!r} not in {SEXES}")
         if self.age < 0:
             raise InvariantViolation(f"record {pid}: negative age {self.age}")
+        if not math.isfinite(self.age):
+            raise InvariantViolation(f"record {pid}: age {self.age} is not finite")
         n = len(self.visit_times)
         for fid, series in self.features.items():
             if len(series) != n:
@@ -92,6 +94,10 @@ class PatientRecord:
                     f"record {pid}: feature {fid} has {len(series)} slots "
                     f"for {n} visits"
                 )
+            for v in series:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise InvariantViolation(
+                        f"record {pid}: feature {fid} value {v} is not finite")
         keys = _time_keys(pid, self.visit_times)
         if any(b < a for a, b in zip(keys, keys[1:])):
             raise InvariantViolation(f"record {pid}: visit_times decrease")
@@ -158,22 +164,11 @@ class FeatureCatalog:
 
 @dataclass(frozen=True)
 class Cohort:
+    """Records with distinct patient ids, every feature in ``catalog``:
+    ``load_cohort`` checks both as it reads the file."""
+
     records: tuple
     catalog: FeatureCatalog
-
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        seen = set()
-        for rec in self.records:
-            if rec.patient_id in seen:
-                raise InvariantViolation(
-                    f"duplicate patient_id {rec.patient_id!r}")
-            seen.add(rec.patient_id)
-            for fid in rec.features:
-                if fid not in self.catalog:
-                    raise InvariantViolation(
-                        f"record {rec.patient_id}: feature {fid} not in catalog"
-                    )
 
     def __len__(self):
         return len(self.records)
@@ -350,10 +345,10 @@ _JSON_NUMBER = frozenset((int, float))
 _JSON_NUMERIC_CELL = _JSON_NUMBER | {type(None)}
 
 
-def _record_json_error(obj, numeric_ids):
+def _record_json_error(obj, kinds):
     """Why a JSONL cohort object does not hold one record's fields with the
-    JSON types they need, or None. ``numeric_ids``: the catalog's numeric
-    features."""
+    JSON types they need, or None. ``kinds``: the catalog's feature ids and
+    their kinds."""
     if type(obj["age"]) not in _JSON_NUMBER:
         return '"age" must be a number'
     times = obj["visit_times"]
@@ -366,33 +361,41 @@ def _record_json_error(obj, numeric_ids):
     if not isinstance(obj["features"], dict):
         return '"features" must be an object'
     for fid, series in obj["features"].items():
+        if fid not in kinds:
+            return f"feature {fid} not in catalog"
         if type(series) is not list:
             return f"feature {fid} must be a list"
-        if fid in numeric_ids and not _JSON_NUMERIC_CELL.issuperset(
+        if kinds[fid] == "numeric" and not _JSON_NUMERIC_CELL.issuperset(
                 map(type, series)):
             return f"numeric feature {fid} must hold numbers or null"
     return None
 
 
 def _load_jsonl(path, catalog, task):
-    numeric_ids = {e.feature_id for e in catalog if e.kind == "numeric"}
+    kinds = {e.feature_id: e.kind for e in catalog}
+    first_line = {}  # patient -> line number
     records = []
     for lineno, obj in read_jsonl(path):
         required = {"patient_id", "sex", "age", "visit_times", "features"}
         missing = required - obj.keys()
         if missing:
             raise SchemaMismatch(f"line {lineno}: missing fields {sorted(missing)}")
-        problem = _record_json_error(obj, numeric_ids)
+        problem = _record_json_error(obj, kinds)
         if problem:
             raise ParseError(problem, line=lineno)
+        pid = str(obj["patient_id"])
+        seen = first_line.setdefault(pid, lineno)
+        if seen != lineno:
+            raise ParseError(f"patient_id {pid!r} repeats line {seen}",
+                             line=lineno)
         label = obj.get("label")
         if label is None and "labels" in obj:
             label = obj["labels"].get(task)
         if label is not None:
-            label = _parse_label(label, f"record {obj['patient_id']}")
+            label = _parse_label(label, f"record {pid}")
         records.append(
             PatientRecord(
-                patient_id=str(obj["patient_id"]),
+                patient_id=pid,
                 sex=obj["sex"],
                 age=float(obj["age"]),
                 visit_times=tuple(obj["visit_times"]),

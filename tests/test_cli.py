@@ -323,6 +323,18 @@ BAD_RECORDS = {
     # keyed by id, the test split would shrink to one sample
     "duplicate_patient_id":
         (lambda rs: [r.update(patient_id="same") for r in rs], "'same'"),
+    "patient_id_repeats":
+        (lambda rs: rs[2].update(patient_id=rs[0]["patient_id"]),
+         "repeats line 1"),
+    "feature_not_in_catalog":
+        (lambda rs: rs[2]["features"].update(
+            zz=[None] * len(rs[2]["visit_times"])), "line 3: feature"),
+    # json reads Infinity and NaN; each would print in the prompt
+    "age_infinity": (lambda rs: rs[2].update(age=math.inf), "not finite"),
+    "age_nan": (lambda rs: rs[2].update(age=math.nan), "not finite"),
+    "value_infinity":
+        (lambda rs: rs[2]["features"]["hr"].__setitem__(0, math.inf),
+         "feature hr value inf is not finite"),
 }
 
 
@@ -367,6 +379,35 @@ def test_long_csv_non_finite_visit_time_exits_2(tmp_path, capsys, visit_time):
     assert main(["predict", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: record p1: visit_times must be finite\n"
+
+
+def test_long_csv_feature_not_in_catalog_exits_2(tmp_path, capsys):
+    config_path, config = write_run_config(tmp_path)
+    cohort, labels = tmp_path / "cohort.csv", tmp_path / "labels.csv"
+    cohort.write_text("patient_id,visit_time,feature_id,value\n"
+                      "p1,1,hr,80\np1,2,zz,81\n")
+    labels.write_text("patient_id,task,label\np1,mortality,1\n")
+    config["data"].update(cohort=str(cohort), labels=str(labels))
+    config_path.write_text(json.dumps(config))
+    assert main(["predict", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 3: feature zz not in catalog\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e400"])
+def test_long_csv_non_finite_value_exits_2(tmp_path, capsys, value):
+    """float() reads these; an empty cell is the one gap in a series."""
+    config_path, config = write_run_config(tmp_path)
+    cohort, labels = tmp_path / "cohort.csv", tmp_path / "labels.csv"
+    cohort.write_text("patient_id,visit_time,feature_id,value\n"
+                      f"p1,1,hr,83\np1,2,hr,{value}\n")
+    labels.write_text("patient_id,task,label\np1,mortality,1\n")
+    config["data"].update(cohort=str(cohort), labels=str(labels))
+    config_path.write_text(json.dumps(config))
+    assert main(["predict", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: record p1: feature hr value {float(value)} "
+                   "is not finite\n")
 
 
 def test_icl_examples_shared_by_ordinal_and_hour_records(tmp_path, capsys,

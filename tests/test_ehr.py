@@ -10,6 +10,7 @@ from ehrbench.ehr import (
     TIME_DATE,
     TIME_HOURS,
     TIME_ORDINAL,
+    FeatureCatalog,
     PatientRecord,
     SplitSpec,
     load_catalog,
@@ -50,6 +51,28 @@ class TestPatientRecord:
     def test_bad_sex_rejected(self):
         with pytest.raises(errors.InvariantViolation):
             make_record((0, 1), [1.0, 2.0], sex="m")
+
+    @pytest.mark.parametrize("age", [float("inf"), float("nan")])
+    def test_non_finite_age_rejected(self, age):
+        with pytest.raises(errors.InvariantViolation,
+                           match=f"^record p0: age {age} is not finite$"):
+            make_record((0, 1), [1.0, 2.0], age=age)
+
+    def test_negative_age_rejected(self):
+        with pytest.raises(errors.InvariantViolation,
+                           match="^record p0: negative age -inf$"):
+            make_record((0, 1), [1.0, 2.0], age=float("-inf"))
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan")])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(errors.InvariantViolation,
+                           match=f"^record p0: feature f value {value} is "
+                                 "not finite$"):
+            make_record((0, 1), [1.0, value])
+
+    def test_gaps_and_categories_accepted(self):
+        assert make_record((0, 1, 2), [None, 2, "high"]).n_visits == 3
 
     @pytest.mark.parametrize("text", ["20200131", "2020-W05-5"])
     def test_only_yyyy_mm_dd_is_a_date(self, text):
@@ -314,6 +337,21 @@ class TestSplit:
         splits = split_cohort(cohort, SplitSpec(0.8, 0.0, 0.2, seed=1))
         assert len(splits.val) == 0
         assert len(splits.train) + len(splits.test) == len(cohort)
+
+    def test_split_walks_no_catalog(self, fixtures_dir, monkeypatch):
+        """``load_cohort`` checks every feature against the catalog; the
+        splits it is cut into are not checked again."""
+        catalog = load_catalog(f"{fixtures_dir}/report_catalog.csv")
+        cohort = load_cohort(f"{fixtures_dir}/report_cohort.jsonl", catalog,
+                             "mortality")
+        lookups = []
+        contains = FeatureCatalog.__contains__
+        monkeypatch.setattr(FeatureCatalog, "__contains__",
+                            lambda self, fid: lookups.append(fid)
+                            or contains(self, fid))
+        splits = split_cohort(cohort, SplitSpec(0.6, 0.1, 0.3, seed=0))
+        assert len(splits.train) + len(splits.val) + len(splits.test) == 40
+        assert lookups == []
 
     def test_single_class_rejected(self, vitals_cohort):
         with pytest.raises(errors.DegenerateClass):
