@@ -22,6 +22,7 @@ from .errors import (
     InvariantViolation,
     ParseError,
     SchemaMismatch,
+    as_float,
     open_text,
     read_jsonl,
 )
@@ -52,7 +53,7 @@ def _time_keys(patient_id, visit_times):
     numbers."""
     n_dates = sum(isinstance(t, str) for t in visit_times)
     if n_dates == 0:
-        if not all(map(math.isfinite, visit_times)):
+        if not all(math.isfinite(as_float(t)) for t in visit_times):
             raise InvariantViolation(
                 f"record {patient_id}: visit_times must be finite")
         return list(visit_times)
@@ -95,9 +96,13 @@ class PatientRecord:
                     f"for {n} visits"
                 )
             for v in series:
-                if isinstance(v, float) and not math.isfinite(v):
+                # floats first: they are most of a series
+                if (isinstance(v, float) and not math.isfinite(v)
+                        or isinstance(v, int) and not math.isfinite(
+                            as_float(v))):
                     raise InvariantViolation(
-                        f"record {pid}: feature {fid} value {v} is not finite")
+                        f"record {pid}: feature {fid} value {as_float(v)} "
+                        "is not finite")
         keys = _time_keys(pid, self.visit_times)
         if any(b < a for a, b in zip(keys, keys[1:])):
             raise InvariantViolation(f"record {pid}: visit_times decrease")
@@ -112,10 +117,6 @@ class PatientRecord:
                for t in self.visit_times):
             return TIME_ORDINAL
         return TIME_HOURS
-
-    @property
-    def n_visits(self):
-        return len(self.visit_times)
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,6 @@ class FeatureCatalog:
 
     def __getitem__(self, feature_id):
         return self._entries[feature_id]
-
-    @property
-    def feature_ids(self):
-        return list(self._entries)
 
 
 @dataclass(frozen=True)
@@ -397,7 +394,7 @@ def _load_jsonl(path, catalog, task):
             PatientRecord(
                 patient_id=pid,
                 sex=obj["sex"],
-                age=float(obj["age"]),
+                age=as_float(obj["age"]),
                 visit_times=tuple(obj["visit_times"]),
                 features=obj["features"],
                 label=label,

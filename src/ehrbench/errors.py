@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the harness, and the text and JSONL
-readers that raise its ``ParseError``."""
+"""Exception hierarchy shared across the harness, the text and JSONL
+readers that raise its ``ParseError``, and the float conversion behind its
+finite-number checks."""
 
 import contextlib
 import json
+import math
 
 
 class EhrBenchError(Exception):
@@ -49,6 +51,16 @@ def read_jsonl(path):
             if not isinstance(obj, dict):
                 raise ParseError("expected a JSON object", line=lineno)
             yield lineno, obj
+
+
+def as_float(value):
+    """``float(value)``, except that an int too large for a float gives inf
+    or -inf, as a numeric string too large for one does, so the finite
+    checks reject it instead of raising ``OverflowError``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 class InvariantViolation(EhrBenchError):

@@ -37,6 +37,7 @@ from .errors import (
     GatewayError,
     InvariantViolation,
     RateLimited,
+    as_float,
 )
 
 STUB_BASE_URL = "stub"
@@ -62,9 +63,10 @@ class EndpointConfig:
     backoff_base: float = 0.5
 
     def __post_init__(self):
-        # json.load reads the tokens NaN and Infinity as floats
+        # json.load reads the tokens NaN and Infinity as floats, and an
+        # integer literal of any length as an int
         for key in ("temperature", "timeout", "backoff_base"):
-            value = getattr(self, key)
+            value = as_float(getattr(self, key))
             if not math.isfinite(value):
                 raise InvariantViolation(
                     f"endpoint.{key} must be finite, got {value}")
@@ -450,14 +452,16 @@ def _embed_chunk(start, texts, cfg):
 
 
 _REFUSAL = re.compile(r"i\s+do\s+not\s+know", re.IGNORECASE)
-_NUMBER = re.compile(r"(-?)(\d+(?:\.\d+)?|\.\d+)\s*(%?)")
+_NUMBER = re.compile(
+    r"(-?)((?:\d+(?:\.\d+)?|\.\d+)(?:[eE][-+]?\d+)?)\s*(%?)")
 
 
 def decode_probability(raw_text, sample_id=""):
     """Decode a free-text response into a PredictionOutcome.
 
     Refusals ("I do not know") map to the 0.5 fallback. Otherwise the first
-    numeric literal whose value lies in [0, 1] wins; "NN%" counts as NN/100.
+    numeric literal whose value lies in [0, 1] wins, an exponent ("1e-3")
+    included; "NN%" counts as NN/100.
     Out-of-range numbers are skipped, so "85" alone decodes to nothing.
     """
     if _REFUSAL.search(raw_text):

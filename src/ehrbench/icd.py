@@ -95,12 +95,6 @@ class IcdTree:
         self._parent = dict(parent)
         self._paths = {}  # code -> root path, filled as codes are asked for
 
-    def __contains__(self, code):
-        return code in self._parent
-
-    def __len__(self):
-        return len(self._parent) - 1  # root excluded
-
     def parent(self, code):
         if code not in self._parent:
             raise UnknownCode(code)

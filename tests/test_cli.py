@@ -144,7 +144,7 @@ class TestPredict:
         assert load_report(tmp_path)["missing_rate"]["percent"] == 0.0
 
     def test_endpoint_errors_degrade_to_missing_and_fail_threshold(
-            self, tmp_path):
+            self, tmp_path, capsys):
         config_path, _ = write_run_config(
             tmp_path,
             endpoint_overrides={"base_url": "http://127.0.0.1:9",
@@ -152,6 +152,7 @@ class TestPredict:
                                 "max_in_flight": 8})
         code = main(["predict", "--config", str(config_path)])
         assert code == 1  # every sample errored, above --max-error-frac
+        assert "exceeds --max-error-frac" in capsys.readouterr().err
         report = load_report(tmp_path)
         assert set(report["status_counts"]) == {"missing"}
         assert report["n_errors"] == report["missing_rate"]["n_test"]
@@ -248,6 +249,14 @@ BAD_CONFIGS = [
      lambda c: c["endpoint"].update(temperature=float("inf"))),
     ("endpoint.backoff_base must be finite",
      lambda c: c["endpoint"].update(backoff_base=float("inf"))),
+    # json.load reads an integer literal of any length as an int, and
+    # float() of one no float holds raises OverflowError
+    ("endpoint.timeout must be finite, got inf",
+     lambda c: c["endpoint"].update(timeout=10**400)),
+    ("endpoint.temperature must be finite, got inf",
+     lambda c: c["endpoint"].update(temperature=10**400)),
+    ("endpoint.backoff_base must be finite, got inf",
+     lambda c: c["endpoint"].update(backoff_base=10**400)),
     # a NaN fraction passed every comparison and crashed the split
     ("outside [0, 1]", lambda c: c["split"].update(train_frac=float("nan"))),
     # every sample would be an error, after the data was read
@@ -328,27 +337,41 @@ BAD_RECORDS = {
          "repeats line 1"),
     "feature_not_in_catalog":
         (lambda rs: rs[2]["features"].update(
-            zz=[None] * len(rs[2]["visit_times"])), "line 3: feature"),
+            zz=[None] * len(rs[2]["visit_times"])),
+         "line 3: feature zz not in catalog"),
     # json reads Infinity and NaN; each would print in the prompt
-    "age_infinity": (lambda rs: rs[2].update(age=math.inf), "not finite"),
+    "age_infinity":
+        (lambda rs: rs[2].update(age=math.inf), "age inf is not finite"),
     "age_nan": (lambda rs: rs[2].update(age=math.nan), "not finite"),
     "value_infinity":
         (lambda rs: rs[2]["features"]["hr"].__setitem__(0, math.inf),
+         "feature hr value inf is not finite"),
+    # and an integer of any length, which no float holds
+    "age_too_large_for_float":
+        (lambda rs: rs[2].update(age=10**400), "age inf is not finite"),
+    "visit_time_too_large_for_float":
+        (lambda rs: rs[2]["visit_times"].__setitem__(0, 10**400),
+         "visit_times must be finite"),
+    "value_too_large_for_float":
+        (lambda rs: rs[2]["features"]["hr"].__setitem__(0, 10**400),
          "feature hr value inf is not finite"),
 }
 
 
 @pytest.mark.parametrize("name", BAD_RECORDS)
 def test_malformed_cohort_record_exits_2(tmp_path, capsys, name):
+    """Each command that reads the cohort stops with one error line."""
     edit, fragment = BAD_RECORDS[name]
     config_path, _ = write_run_config(tmp_path)
     cohort = tmp_path / "cohort.jsonl"
     records = [json.loads(line) for line in cohort.read_text().splitlines()]
     edit(records)
     cohort.write_text("".join(json.dumps(r) + "\n" for r in records))
-    assert main(["predict", "--config", str(config_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and fragment in err
+    for argv in (["predict"], ["prompt-preview", "--sample-id", "p000"]):
+        assert main([*argv, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
+        assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -365,10 +388,11 @@ def test_long_csv_patient_mixing_dates_and_numbers_exits_2(tmp_path, capsys):
     assert err == "error: record p1: visit_times mix ISO dates and numbers\n"
 
 
-@pytest.mark.parametrize("visit_time", ["nan", "inf", "-1e400"])
+@pytest.mark.parametrize("visit_time", [
+    "nan", "inf", "-1e400", pytest.param(str(10**400), id="10**400")])
 def test_long_csv_non_finite_visit_time_exits_2(tmp_path, capsys, visit_time):
-    """float() reads these; each would print as a visit time in the
-    prompt."""
+    """float() reads these, and int() the last; each would print as a
+    visit time in the prompt."""
     config_path, config = write_run_config(tmp_path)
     cohort, labels = tmp_path / "cohort.csv", tmp_path / "labels.csv"
     cohort.write_text("patient_id,visit_time,feature_id,value\n"
@@ -607,6 +631,20 @@ class TestEvalSentences:
         assert err.count("\n") == 1 and str(emb) in err
         assert not (tmp_path / "out").exists()
 
+    def test_zero_vector_names_its_pair(self, tmp_path, capsys):
+        pairs = self.write_pairs(tmp_path, [("a", "b", 1.0), ("c", "d", 2.0)])
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text("".join(
+            json.dumps({"text": t, "embedding": [0.0, 0.0] if t == "d"
+                        else [1.0, float(i)]}) + "\n"
+            for i, t in enumerate("abcd")))
+        assert main(["eval-sentences", "--pairs", str(pairs),
+                     "--embeddings-file", str(emb),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "error: pair 2: cosine undefined for a zero vector\n"
+        assert not (tmp_path / "out").exists()
+
     def test_no_pairs_with_embeddings_file(self, tmp_path, capsys):
         pairs = self.write_pairs(tmp_path, [])
         emb = tmp_path / "emb.jsonl"
@@ -838,6 +876,16 @@ def _command_outputs(*argv):
     return run
 
 
+def _one_vector_outputs(tmp_path):
+    emb = tmp_path / "emb.jsonl"
+    emb.write_text("".join(
+        json.dumps({"code": f"{chap}00{i}", "embedding": [0.5, -0.5]}) + "\n"
+        for chap in "ABE" for i in range(4)))
+    return _command_outputs("eval-icd", "--order-file", TestEvalIcd.ORDER,
+                            "--ks", "2,3", "--embeddings-file",
+                            str(emb))(tmp_path)
+
+
 def _sentences_outputs(tmp_path):
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("".join(f"a{i}\tb{i}\t{i}\n" for i in range(4)))
@@ -854,6 +902,8 @@ REPORT_COMMANDS = {
     # no cluster holds a pair: every value is undefined
     "eval-icd-all-singletons": _command_outputs(
         "eval-icd", "--order-file", TestEvalIcd.ORDER, "--ks", "12"),
+    # every code has one vector: every row ties, and k-means still ends
+    "eval-icd-one-vector": _one_vector_outputs,
     "report-merge": _merge_outputs,
 }
 

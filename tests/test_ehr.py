@@ -72,7 +72,7 @@ class TestPatientRecord:
             make_record((0, 1), [1.0, value])
 
     def test_gaps_and_categories_accepted(self):
-        assert make_record((0, 1, 2), [None, 2, "high"]).n_visits == 3
+        assert len(make_record((0, 1, 2), [None, 2, "high"]).visit_times) == 3
 
     @pytest.mark.parametrize("text", ["20200131", "2020-W05-5"])
     def test_only_yyyy_mm_dd_is_a_date(self, text):
@@ -108,7 +108,7 @@ class TestCatalog:
             load_catalog(path)
 
     def test_preserves_file_order(self, lab_catalog):
-        ids = lab_catalog.feature_ids
+        ids = [e.feature_id for e in lab_catalog]
         assert ids[0] == "f01"
         assert ids[-1] == "f73"
 
@@ -117,7 +117,7 @@ class TestCohortLoading:
     def test_jsonl_fixture(self, lab_cohort):
         rec = lab_cohort.records[0]
         assert rec.patient_id == "lab-001"
-        assert rec.n_visits == 7
+        assert len(rec.visit_times) == 7
         assert rec.time_kind == TIME_DATE
         assert rec.features["f03"][0] == 103.10
 

@@ -42,6 +42,10 @@ class TestDecode:
         ("Risk: 85 %", 0.85),
         ("scores 2.5 then 0.3", 0.3),       # first in-range number wins
         ("RESPONSE: 0.42\n0.9", 0.42),
+        ("1e-5", 1e-5),
+        ("0.5e-2", 0.005),
+        ("8.5e-01", 0.85),
+        ("1.2e-3", 0.0012),
     ])
     def test_decoded(self, text, expected):
         outcome = decode_probability(text)
@@ -65,6 +69,7 @@ class TestDecode:
         "85",             # bare out-of-range number
         "-0.5",           # negative is never a probability
         "the value 42 is too high",
+        "1e5",
     ])
     def test_missing(self, text):
         outcome = decode_probability(text)

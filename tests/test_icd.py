@@ -91,10 +91,12 @@ class TestParsing:
 
 
 class TestTree:
-    def test_parenting(self, sibling_tree):
+    def test_parenting(self, sibling_tree, sibling_entries):
         assert sibling_tree.parent("A000") == "A"   # no A00 in the fixture
         assert sibling_tree.parent("A") == ROOT
-        assert len(sibling_tree) == 12 + 3  # codes + chapter letters
+        codes = [e.code for e in sibling_entries]
+        nodes = {n for code in codes for n in sibling_tree.ancestors(code)}
+        assert nodes == {*codes, "A", "B", "E", ROOT}  # codes + chapters
 
     def test_nearest_prefix_parent(self):
         entries_codes = ["A00", "A000", "A0001", "A09"]

@@ -34,9 +34,9 @@ from ehrbench.synthetic import (
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 # what a retyped or added key holds; numbers stay small, so a mutated count
-# (resamples, examples) keeps a run short
+# (resamples, examples) keeps a run short. 10**400 is an int no float holds.
 VALUES = [None, True, 0, 1, -1, 3, 0.5, 1e300, float("nan"), float("inf"),
-          "", "x", "stub", [], [1], {}, {"k": 1}]
+          10**400, "", "x", "stub", [], [1], {}, {"k": 1}]
 ADDED_KEYS = ["extra", "n", "seed", "task", "model_name", "output_dir"]
 # what a mutated label, visit_time, header or argument holds
 CELLS = ["", " ", "x", "2", "-1", "0.5", "1e400", "nan", "inf", "0x10",
