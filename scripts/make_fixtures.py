@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Regenerate the golden prompts, the report snapshots and their inputs.
 
-Reads the two hand-made fixture cohorts (a date-stamped lab-panel patient
-and an ordinal-stamped vitals patient) and their feature catalogs, which are
-checked-in inputs like ``sibling_codes.order``, and writes the four golden
-prompt snapshots (base and best settings for each cohort). Then writes the
-inputs of the report snapshots (a seeded 40-patient cohort, an order file of
-a few hundred codes, a sentence-pairs file) and the reports that
-``predict``, ``eval-icd`` and ``eval-sentences`` make from them. Run from
-the repository root; output lands under tests/fixtures/.
+Reads the two hand-made fixture cohorts (a dated lab-panel patient and a
+vitals patient whose visit times are indices) and their feature catalogs,
+which are checked-in inputs like ``sibling_codes.order``, and writes the four
+golden prompt snapshots that ``GOLDEN`` sets up (base and best settings for
+each cohort). Then writes the inputs of the report snapshots (a seeded
+40-patient cohort, an order file of a few hundred codes, a sentence-pairs
+file) and the reports that ``predict``, ``eval-icd`` and ``eval-sentences``
+make from them. Run from the repository root; output lands under
+tests/fixtures/.
 """
 import contextlib
 import io
@@ -22,61 +23,56 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from ehrbench import cli, prompts, synthetic  # noqa: E402
-from ehrbench.ehr import TIME_DATE, TIME_ORDINAL, load_catalog, load_cohort  # noqa: E402
+from ehrbench.ehr import load_catalog, load_cohort  # noqa: E402
 
 FIXTURES = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
                                         "tests", "fixtures"))
 REPORTS = os.path.join(FIXTURES, "reports")
 
-# Golden-setting in-context example statistics: outcome group ->
-# feature_id -> (mean, variance). Mirrored in tests/conftest.py; the golden
-# byte-compare catches any drift.
-LAB_ICL_STATS = {
-    0: {"f01": (2.0, 0.09), "f02": (140.0, 4.0), "f03": (104.0, 0.25)},
-    1: {"f01": (8000.0, 9.0e6), "f02": (110.0, 900.0), "f03": (97.0, 36.0)},
+# The golden prompts: name -> (fixture cohort, PromptConfig, IclExampleSpec
+# or None). tests/conftest.py reads this table.
+GOLDEN = {
+    "lab_base.txt": ("lab", prompts.PromptConfig(), None),
+    "lab_best.txt": (
+        "lab",
+        prompts.PromptConfig(include_units=True, include_ranges=True,
+                             n_icl_examples=2),
+        prompts.IclExampleSpec(
+            group_stats={
+                0: {"f01": (2.0, 0.09), "f02": (140.0, 4.0),
+                    "f03": (104.0, 0.25)},
+                1: {"f01": (8000.0, 9.0e6), "f02": (110.0, 900.0),
+                    "f03": (97.0, 36.0)},
+            },
+            seed=7, n_visits=5, dated=True, start_date="2020-02-09"),
+    ),
+    "vitals_base.txt": (
+        "vitals", prompts.PromptConfig(missing_policy="reserve_nan"), None,
+    ),
+    "vitals_best.txt": (
+        "vitals",
+        prompts.PromptConfig(missing_policy="reserve_nan", include_units=True,
+                             include_ranges=True, n_icl_examples=1),
+        prompts.IclExampleSpec(
+            group_stats={0: {"dbp": (80.0, 25.0), "glucose": (150.0, 400.0),
+                             "hr": (85.0, 16.0)}},
+            seed=11, n_visits=4),
+    ),
 }
-VITALS_ICL_STATS = {
-    0: {"dbp": (80.0, 25.0), "glucose": (150.0, 400.0), "hr": (85.0, 16.0)},
-}
-
-LAB_ICL_SEED = 7
-VITALS_ICL_SEED = 11
 
 
 def golden_prompts():
-    lab_catalog = load_catalog(os.path.join(FIXTURES, "lab_catalog.csv"))
-    lab = load_cohort(os.path.join(FIXTURES, "lab_cohort.jsonl"),
-                      lab_catalog, "mortality").records[0]
-    vitals_catalog = load_catalog(os.path.join(FIXTURES,
-                                               "vitals_catalog.csv"))
-    vitals = load_cohort(os.path.join(FIXTURES, "vitals_cohort.jsonl"),
-                         vitals_catalog, "mortality").records[0]
-
-    base = prompts.PromptConfig()
-    best_lab = prompts.PromptConfig(include_units=True, include_ranges=True,
-                                    n_icl_examples=2)
-    vitals_base = prompts.PromptConfig(missing_policy="reserve_nan")
-    best_vitals = prompts.PromptConfig(missing_policy="reserve_nan",
-                                       include_units=True,
-                                       include_ranges=True,
-                                       n_icl_examples=1)
-    lab_icl = prompts.IclExampleSpec(group_stats=LAB_ICL_STATS,
-                                     seed=LAB_ICL_SEED, n_visits=5,
-                                     time_kind=TIME_DATE,
-                                     start_date="2020-02-09")
-    vitals_icl = prompts.IclExampleSpec(group_stats=VITALS_ICL_STATS,
-                                        seed=VITALS_ICL_SEED, n_visits=4,
-                                        time_kind=TIME_ORDINAL)
-    return {
-        "lab_base.txt": prompts.build_prompt(lab, lab_catalog, base),
-        "lab_best.txt": prompts.build_prompt(lab, lab_catalog, best_lab,
-                                             icl_spec=lab_icl),
-        "vitals_base.txt": prompts.build_prompt(vitals, vitals_catalog,
-                                                vitals_base),
-        "vitals_best.txt": prompts.build_prompt(vitals, vitals_catalog,
-                                                best_vitals,
-                                                icl_spec=vitals_icl),
-    }
+    """name -> the golden prompt that ``GOLDEN`` sets up, rendered from the
+    first record of its fixture cohort."""
+    records = {}
+    for which in ("lab", "vitals"):
+        catalog = load_catalog(os.path.join(FIXTURES, f"{which}_catalog.csv"))
+        cohort = load_cohort(os.path.join(FIXTURES, f"{which}_cohort.jsonl"),
+                             catalog, "mortality")
+        records[which] = (cohort.records[0], catalog)
+    return {name: prompts.build_prompt(*records[which], config,
+                                       icl_spec=icl_spec)
+            for name, (which, config, icl_spec) in GOLDEN.items()}
 
 
 def write_order_file(path, n_broad=300, seed=3):

@@ -86,14 +86,20 @@ class DataSpec:
                 "cohort carries its labels in its records")
 
 
+# Most resamples a bootstrap may take: they are drawn after every request
+# was sent, so a count past this would stall or fail a run only then.
+MAX_BOOTSTRAP_N = 1_000_000
+
+
 @dataclass(frozen=True)
 class BootstrapSpec:
     n: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvariantViolation("bootstrap.n must be >= 1")
+        if not 1 <= self.n <= MAX_BOOTSTRAP_N:
+            raise InvariantViolation(
+                f"bootstrap.n must be in [1, {MAX_BOOTSTRAP_N}]")
         if self.seed < 0:
             raise InvariantViolation("bootstrap.seed must be >= 0")
 
@@ -184,8 +190,8 @@ class RunPlan:
     ``predict`` and ``prompt-preview`` both render through ``render``, so a
     preview is the prompt that is sent. The cohort is split on first use;
     in-context examples come from the train split and are synthesized once
-    for date-stamped records and once for the rest, the one difference in
-    how ``prompts`` lays them out.
+    for dated records and once for the rest, the one difference in how
+    ``prompts`` lays them out.
     """
 
     def __init__(self, config_path):
@@ -205,21 +211,20 @@ class RunPlan:
         return ehr.split_cohort(self.cohort, self.config.split)
 
     def _examples(self, dated):
-        from . import ehr, prompts
+        from . import prompts
 
         if dated not in self._icl_examples:
             spec = prompts.icl_spec_from_cohort(
-                self.splits.train, seed=self.config.split.seed,
-                time_kind=ehr.TIME_DATE if dated else ehr.TIME_ORDINAL)
+                self.splits.train, seed=self.config.split.seed, dated=dated)
             self._icl_examples[dated] = prompts.synthesize_icl_examples(
                 spec, self.config.prompt.n_icl_examples, self.catalog)
         return self._icl_examples[dated]
 
     def render(self, record):
-        from . import ehr, prompts
+        from . import prompts
 
         cfg = self.config.prompt
-        examples = (self._examples(record.time_kind == ehr.TIME_DATE)
+        examples = (self._examples(record.dated)
                     if cfg.n_icl_examples > 0 else None)
         return prompts.build_prompt(record, self.catalog, cfg,
                                     icl_examples=examples)
@@ -399,14 +404,19 @@ def _load_embedding_file(path, key="text"):
     """JSONL of {key: ..., "embedding": [...]} -> {key: float64 row}.
 
     Every embedding passes ``gateway.embedding_row``, as long as the first
-    line's.
+    line's, and no two lines hold the same ``key``.
     """
     table = {}
+    first_line = {}  # key -> line number
     dim = None
     for lineno, obj in read_jsonl(path):
         if not isinstance(obj.get(key), str) or "embedding" not in obj:
             raise ParseError(
                 f'expected a string "{key}" and an "embedding"', line=lineno)
+        seen = first_line.setdefault(obj[key], lineno)
+        if seen != lineno:
+            raise ParseError(f"{key} {obj[key]!r} repeats line {seen}",
+                             line=lineno)
         try:
             row = gateway.embedding_row(obj["embedding"], dim)
         except ValueError as exc:
@@ -483,6 +493,10 @@ def cmd_eval_icd(args):
     result = icd.hierarchy_benchmark(tree, codes, embeddings, ks=args.ks,
                                      seed=args.seed)
     per_k = result["per_k"]
+    for k, n in result["non_empty"].items():
+        if n < k:
+            print(f"warning: k={k} ended with {n} non-empty clusters",
+                  file=sys.stderr)
     _write_report(args.output_dir, "report", {
         "n_codes": len(codes),
         "seed": args.seed,

@@ -1,11 +1,8 @@
 """Longitudinal structured-EHR records: loading, LOCF filling, splits.
 
-Records are immutable after construction. Visit timestamps come in three
-flavors:
-
-  * ``ordinal``  -- integer visit indices (0, 1, 2, ...)
-  * ``hours``    -- real-valued hours since admission
-  * ``date``     -- ISO calendar dates, rendered verbatim in prompts
+Records are immutable after construction. A record's visit times are all
+ISO calendar dates (the record is dated), or all numbers: visit indices or
+hours since admission. Prompts render either verbatim.
 """
 from __future__ import annotations
 
@@ -26,10 +23,6 @@ from .errors import (
     open_text,
     read_jsonl,
 )
-
-TIME_ORDINAL = "ordinal"
-TIME_HOURS = "hours"
-TIME_DATE = "date"
 
 SEXES = ("male", "female", "unknown")
 TASKS = ("mortality", "readmission")
@@ -110,13 +103,9 @@ class PatientRecord:
             raise InvariantViolation(f"record {pid}: label {self.label!r} not in {{0,1}}")
 
     @property
-    def time_kind(self):
-        if all(isinstance(t, str) for t in self.visit_times):
-            return TIME_DATE
-        if all(isinstance(t, int) and not isinstance(t, bool)
-               for t in self.visit_times):
-            return TIME_ORDINAL
-        return TIME_HOURS
+    def dated(self):
+        """Is every visit time an ISO date string?"""
+        return all(isinstance(t, str) for t in self.visit_times)
 
 
 @dataclass(frozen=True)
@@ -388,18 +377,19 @@ def _load_jsonl(path, catalog, task):
         label = obj.get("label")
         if label is None and "labels" in obj:
             label = obj["labels"].get(task)
-        if label is not None:
-            label = _parse_label(label, f"record {pid}")
-        records.append(
-            PatientRecord(
+        try:
+            if label is not None:
+                label = _parse_label(label, f"record {pid}")
+            records.append(PatientRecord(
                 patient_id=pid,
                 sex=obj["sex"],
                 age=as_float(obj["age"]),
                 visit_times=tuple(obj["visit_times"]),
                 features=obj["features"],
                 label=label,
-            )
-        )
+            ))
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"line {lineno}: {exc}") from None
     return records
 
 

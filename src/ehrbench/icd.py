@@ -281,49 +281,45 @@ def _member_mean(points, labels, c):
 
 def _lloyd(points, sq, centroids):
     """Lloyd iterations from ``centroids`` -> (labels, centroids, iterations
-    run). Empty clusters are reseeded to the point farthest from its
-    assigned centroid.
+    run). After the member means, the e empty clusters, in index order, take
+    the e points farthest from their assigned centroid, one each, by distance
+    and then index; a point at distance 0 is never taken, so a cluster that
+    gets none keeps its centroid and surplus clusters stay empty.
 
     A centroid that is the mean of the members it still has is kept: the
     same members in the same order give the same sum, bit for bit, so its
-    shift is exactly 0. So only the clusters that gained or lost a point
-    are recomputed; in the first iteration, and after a reseed, whose
-    centroid is no member mean, every cluster is.
+    shift is exactly 0. So only the empty clusters and those that gained or
+    lost a point are recomputed; in the first iteration, and after a
+    reseed, whose centroid is no member mean, every cluster is.
     """
     k = len(centroids)
     prev = None  # the labels every centroid is the member mean of, if any
     for iterations in range(1, _MAX_ITER + 1):
         labels = _nearest_centroid(points, sq, centroids)
+        stale = np.bincount(labels, minlength=k) == 0  # the empty clusters
         if prev is None:
-            stale = [True] * k
+            stale[:] = True
         else:
             moved = labels != prev
-            changed = (np.bincount(labels[moved], minlength=k)
-                       + np.bincount(prev[moved], minlength=k))
-            stale = (changed > 0).tolist()
+            stale[labels[moved]] = stale[prev[moved]] = True
         new_centroids = centroids.copy()
-        reseeded = False
-        farthest = None  # from its assigned centroid, as the labels stand
-        for c in range(k):
-            if not stale[c]:
-                continue
+        empty = []
+        for c in np.flatnonzero(stale).tolist():
             mean = _member_mean(points, labels, c)
-            if mean is not None:
+            if mean is None:
+                empty.append(c)
+            else:
                 new_centroids[c] = mean
-                continue
-            if farthest is None:
-                own = ((points - centroids[labels]) ** 2).sum(axis=1)
-                farthest = int(own.argmax())
-            # labels name nearest centroids, so the point is no nearer to c's
-            # centroid than to its own: after this reseed it is still the
-            # farthest, and every empty cluster takes it in turn
-            new_centroids[c] = points[farthest]
-            stale[labels[farthest]] = True  # its cluster loses it
-            labels[farthest] = c
-            reseeded = True
+        far = []
+        if empty:
+            own = ((points - centroids[labels]) ** 2).sum(axis=1)
+            far = np.argsort(-own, kind="stable")[:len(empty)]
+            far = far[own[far] > 0]
+            new_centroids[empty[:len(far)]] = points[far]
+            labels[far] = empty[:len(far)]
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        prev = None if reseeded else labels
+        prev = None if len(far) else labels
         if shift < _TOL:
             break
     return labels, centroids, iterations
@@ -346,10 +342,8 @@ def _kmeans_runs(embeddings, ks, seeds):
 
 
 def kmeans(embeddings, k, seed):
-    """Lloyd iterations from a seeded k-means++ start.
-
-    Empty clusters are reseeded to the point farthest from its assigned
-    centroid. Deterministic for a fixed seed.
+    """Lloyd iterations from a seeded k-means++ start; empty clusters are
+    reseeded as ``_lloyd`` says. Deterministic for a fixed seed.
     """
     ((labels, centroids, iterations),) = _kmeans_runs(embeddings, [k], [seed])
     return ClusterAssignment(
@@ -412,7 +406,8 @@ def avg_code_distance(tree, codes, assignment):
 
 
 def hierarchy_benchmark(tree, codes, embeddings, ks, seed=0):
-    """avg_code_distance per cluster count K plus the mean across Ks.
+    """avg_code_distance per cluster count K plus the mean across Ks, and
+    the number of non-empty clusters each K ended with.
 
     K's k-means is seeded from (seed, K), so each K's result equals
     ``kmeans(embeddings, K, [seed, K])`` whatever the other Ks are. All Ks
@@ -422,6 +417,9 @@ def hierarchy_benchmark(tree, codes, embeddings, ks, seed=0):
         raise InvariantViolation("codes and embeddings length mismatch")
     paths = _root_paths(tree, codes)
     runs = _kmeans_runs(embeddings, ks, [[seed, k] for k in ks])
-    per_k = {k: _clustering_distance(paths, labels, k)
-             for k, (labels, _, _) in zip(ks, runs)}
-    return {"per_k": per_k, "mean": sum(per_k.values()) / len(per_k)}
+    per_k, non_empty = {}, {}
+    for k, (labels, _, _) in zip(ks, runs):
+        per_k[k] = _clustering_distance(paths, labels, k)
+        non_empty[k] = int(np.count_nonzero(np.bincount(labels, minlength=k)))
+    return {"per_k": per_k, "mean": sum(per_k.values()) / len(per_k),
+            "non_empty": non_empty}

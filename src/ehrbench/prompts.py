@@ -15,7 +15,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .ehr import TASKS, TIME_DATE, TIME_ORDINAL, locf_series
+from .ehr import TASKS, locf_series
 from .errors import InvariantViolation, MissingGroupStats
 
 ROLE_SENTENCE = (
@@ -59,6 +59,9 @@ NAN_SENTENCE = (
 ICL_HEADER = "Here is an example of input information:"
 
 ICL_WARNING_THRESHOLD = 3  # prediction quality degrades beyond this
+# Most in-context examples a prompt may hold: each one is synthesized and
+# rendered into every prompt of a run.
+MAX_ICL_EXAMPLES = 100
 
 VALUE_DECIMALS = 2  # numeric values and ICL responses
 
@@ -114,8 +117,9 @@ class PromptConfig:
             raise InvariantViolation(f"task {self.task!r}")
         if self.horizon not in _MORTALITY_HORIZONS:
             raise InvariantViolation(f"horizon {self.horizon!r}")
-        if self.n_icl_examples < 0:
-            raise InvariantViolation("n_icl_examples must be >= 0")
+        if not 0 <= self.n_icl_examples <= MAX_ICL_EXAMPLES:
+            raise InvariantViolation(
+                f"n_icl_examples must be in [0, {MAX_ICL_EXAMPLES}]")
         if self.n_icl_examples > ICL_WARNING_THRESHOLD:
             warnings.warn(
                 f"{self.n_icl_examples} in-context examples; performance "
@@ -149,7 +153,7 @@ class IclExampleSpec:
     group_stats: dict
     seed: int
     n_visits: int = 4
-    time_kind: str = TIME_ORDINAL
+    dated: bool = False
     start_date: str = "2020-02-01"
 
     def __post_init__(self):
@@ -174,8 +178,8 @@ def _line(name, tokens):
 
 
 def _preamble(sex, age, visit_times, sep):
-    """Three sentences joined by ``sep``: " " for date-stamped records and
-    every in-context example, "\n" for ordinal/hour-stamped records."""
+    """Three sentences joined by ``sep``: " " for dated records and every
+    in-context example, "\n" for the rest."""
     n = len(visit_times)
     times = ", ".join(str(t) for t in visit_times)
     visits_word = "visit" if n == 1 else "visits"
@@ -213,7 +217,7 @@ def _record_body(record, catalog, config, layout):
          [format_value(v, entry) for v in features[entry.feature_id]])
         for entry in catalog if entry.feature_id in features
     ]
-    sep = " " if record.time_kind == TIME_DATE else "\n"
+    sep = " " if record.dated else "\n"
     preamble = _preamble(record.sex, record.age, record.visit_times, sep)
     return _body(preamble, record.visit_times, rows, layout), rows
 
@@ -260,14 +264,11 @@ def synthesize_icl_examples(spec, k, catalog):
         stats = spec.group_stats[group]
         sex = "male" if rng.integers(0, 2) == 0 else "female"
         age = round(float(rng.uniform(40, 90)), 1)
-        if spec.time_kind == TIME_DATE:
-            start = date.fromisoformat(spec.start_date) + timedelta(days=int(i))
-            times = tuple(
-                (start + timedelta(days=2 * j)).isoformat()
-                for j in range(spec.n_visits)
-            )
-        else:
-            times = tuple(range(spec.n_visits))
+        times = tuple(range(spec.n_visits))
+        if spec.dated:
+            start = date.fromisoformat(spec.start_date) + timedelta(days=i)
+            times = tuple((start + timedelta(days=2 * j)).isoformat()
+                          for j in times)
         rows = []
         for entry in catalog:
             if entry.feature_id in stats:
@@ -280,8 +281,7 @@ def synthesize_icl_examples(spec, k, catalog):
             p = min(float(rng.uniform(0.0, 0.5)), 0.5 - 10 ** -VALUE_DECIMALS)
         else:
             p = float(rng.uniform(0.5, 1.0))
-        # example bodies always use the one-paragraph preamble, whatever
-        # the timestamp kind
+        # example bodies always use the one-paragraph preamble, dated or not
         body = _body(_preamble(sex, age, times, " "), times, rows,
                      "feature_wise")
         examples.append(("Input information of a patient:\n" + body,
@@ -289,7 +289,7 @@ def synthesize_icl_examples(spec, k, catalog):
     return examples
 
 
-def icl_spec_from_cohort(cohort, seed, time_kind=TIME_ORDINAL):
+def icl_spec_from_cohort(cohort, seed, dated=False):
     """Per-group (mean, variance) of every numeric feature over all visits."""
     values = {0: {}, 1: {}}
     for rec in cohort.records:
@@ -309,18 +309,16 @@ def icl_spec_from_cohort(cohort, seed, time_kind=TIME_ORDINAL):
         for g, feats in values.items()
         if feats
     }
-    return IclExampleSpec(group_stats=group_stats, seed=seed,
-                          time_kind=time_kind)
+    return IclExampleSpec(group_stats=group_stats, seed=seed, dated=dated)
 
 
 def build_prompt(record, catalog, config, icl_spec=None, icl_examples=None):
     """Assemble the full prompt in canonical section order.
 
-    Layout follows the record's timestamp kind, like the preamble: prompts
-    for date-stamped records keep the task instruction and the response
-    format sentence as separate paragraphs; ordinal/hour-stamped records
-    join them into one. The nan sentence is added when a value token of
-    the patient body is "nan".
+    Layout follows whether the record is dated, like the preamble: prompts
+    for dated records keep the task instruction and the response format
+    sentence as separate paragraphs; the rest join them into one. The nan
+    sentence is added when a value token of the patient body is "nan".
 
     In-context examples are synthesized from ``icl_spec`` unless
     ``icl_examples`` already holds them, so a run rendering many prompts
@@ -328,10 +326,9 @@ def build_prompt(record, catalog, config, icl_spec=None, icl_examples=None):
     """
     instruction = task_instruction(config.task, config.horizon)
     response_sentence = response_format_sentence(config.task)
-    if record.time_kind == TIME_DATE:
-        task_sections = [instruction, response_sentence]
-    else:
-        task_sections = [instruction + " " + response_sentence]
+    task_sections = [instruction, response_sentence]
+    if not record.dated:
+        task_sections = [" ".join(task_sections)]
     sections = [
         ROLE_SENTENCE,
         INTRO_SENTENCE,

@@ -1,31 +1,41 @@
+import functools
+import importlib.util
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from ehrbench.ehr import (
-    TIME_DATE,
-    TIME_ORDINAL,
-    PatientRecord,
-    load_catalog,
-    load_cohort,
-)
-from ehrbench.prompts import IclExampleSpec, PromptConfig
+from ehrbench.ehr import PatientRecord, load_catalog, load_cohort
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+FIXTURE_SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                              "make_fixtures.py")
 
-# In-context example statistics behind the two "best" golden snapshots.
-# scripts/make_fixtures.py holds the same constants; the golden byte-compare
-# tests catch any drift between the two copies.
-LAB_ICL_STATS = {
-    0: {"f01": (2.0, 0.09), "f02": (140.0, 4.0), "f03": (104.0, 0.25)},
-    1: {"f01": (8000.0, 9.0e6), "f02": (110.0, 900.0), "f03": (97.0, 36.0)},
-}
-VITALS_ICL_STATS = {
-    0: {"dbp": (80.0, 25.0), "glucose": (150.0, 400.0), "hr": (85.0, 16.0)},
-}
-LAB_ICL_SEED = 7
-VITALS_ICL_SEED = 11
+
+@functools.cache
+def load_fixture_script():
+    """scripts/make_fixtures.py as a module, loaded once."""
+    saved = list(sys.path)  # the script extends it
+    try:
+        spec = importlib.util.spec_from_file_location("make_fixtures",
+                                                      FIXTURE_SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+@pytest.fixture(scope="session")
+def fixture_script():
+    return load_fixture_script()
+
+
+def golden_settings():
+    """name -> (cohort fixture name, PromptConfig, IclExampleSpec or None):
+    the table scripts/make_fixtures.py renders the golden prompts from."""
+    return load_fixture_script().GOLDEN
 
 
 @pytest.fixture(scope="session")
@@ -63,32 +73,6 @@ def vitals_cohort(vitals_catalog):
 @pytest.fixture(scope="session")
 def vitals_record(vitals_cohort):
     return vitals_cohort.records[0]
-
-
-def golden_settings():
-    """name -> (cohort fixture name, PromptConfig, IclExampleSpec or None)."""
-    return {
-        "lab_base.txt": ("lab", PromptConfig(), None),
-        "lab_best.txt": (
-            "lab",
-            PromptConfig(include_units=True, include_ranges=True,
-                         n_icl_examples=2),
-            IclExampleSpec(group_stats=LAB_ICL_STATS, seed=LAB_ICL_SEED,
-                           n_visits=5, time_kind=TIME_DATE,
-                           start_date="2020-02-09"),
-        ),
-        "vitals_base.txt": (
-            "vitals", PromptConfig(missing_policy="reserve_nan"), None,
-        ),
-        "vitals_best.txt": (
-            "vitals",
-            PromptConfig(missing_policy="reserve_nan", include_units=True,
-                         include_ranges=True, n_icl_examples=1),
-            IclExampleSpec(group_stats=VITALS_ICL_STATS,
-                           seed=VITALS_ICL_SEED, n_visits=4,
-                           time_kind=TIME_ORDINAL),
-        ),
-    }
 
 
 def random_record(rng, n_features=None, n_visits=None, categorical_frac=0.2,

@@ -205,6 +205,13 @@ def test_score_reports_auroc_error_beside_auprc():
                                "seed": 0}
 
 
+def _closed_port(config, section, **values):
+    """Set ``values`` in a config ``section`` and send requests to a port
+    nothing listens on."""
+    config[section].update(values)
+    config["endpoint"].update(base_url="http://127.0.0.1:9")
+
+
 # (config key the message must name, edit that breaks it)
 BAD_CONFIGS = [
     ("data.task", lambda c: c["data"].pop("task")),
@@ -264,6 +271,16 @@ BAD_CONFIGS = [
      lambda c: c["endpoint"].update(model_name="mystery")),
     ("endpoint.model_name",
      lambda c: c["endpoint"].update(model_name="hash-embed-8")),
+    # counts that would stall a run or fail it after every request was
+    # sent; the closed port shows that none is sent
+    ("bootstrap.n must be in [1, 1000000]",
+     lambda c: _closed_port(c, "bootstrap", n=10**400)),
+    ("config bootstrap: bootstrap.n must be in [1, 1000000]",
+     lambda c: _closed_port(c, "bootstrap", n=1_000_001)),
+    ("n_icl_examples must be in [0, 100]",
+     lambda c: _closed_port(c, "prompt", n_icl_examples=10**400)),
+    ("config prompt: n_icl_examples must be in [0, 100]",
+     lambda c: _closed_port(c, "prompt", n_icl_examples=101)),
 ]
 
 
@@ -316,7 +333,7 @@ BAD_RECORDS = {
         (lambda rs: rs[2]["visit_times"].__setitem__(0, None), "line 3"),
     "visit_time_nan":
         (lambda rs: rs[2]["visit_times"].__setitem__(0, math.nan),
-         "visit_times must be finite"),
+         "line 3: record p009: visit_times must be finite"),
     "visit_times_mixed":
         (lambda rs: rs[2]["visit_times"].__setitem__(0, "2020-01-01"),
          "line 3"),
@@ -326,35 +343,39 @@ BAD_RECORDS = {
         (lambda rs: rs[2]["features"]["hr"].__setitem__(0, "80"), "line 3"),
     # date.fromisoformat accepts both from Python 3.11 on, not on 3.10
     "basic_iso_date": (lambda rs: _end_dates_with(rs[2], "20200131"),
-                       "bad date"),
+                       "line 3: record p009: bad date"),
     "iso_week_date": (lambda rs: _end_dates_with(rs[2], "2020-W05-5"),
-                      "bad date"),
+                      "line 3: record p009: bad date"),
     # keyed by id, the test split would shrink to one sample
     "duplicate_patient_id":
-        (lambda rs: [r.update(patient_id="same") for r in rs], "'same'"),
+        (lambda rs: [r.update(patient_id="same") for r in rs],
+         "line 2: patient_id 'same' repeats line 1"),
     "patient_id_repeats":
         (lambda rs: rs[2].update(patient_id=rs[0]["patient_id"]),
-         "repeats line 1"),
+         "line 3: patient_id 'p003' repeats line 1"),
     "feature_not_in_catalog":
         (lambda rs: rs[2]["features"].update(
             zz=[None] * len(rs[2]["visit_times"])),
          "line 3: feature zz not in catalog"),
     # json reads Infinity and NaN; each would print in the prompt
     "age_infinity":
-        (lambda rs: rs[2].update(age=math.inf), "age inf is not finite"),
-    "age_nan": (lambda rs: rs[2].update(age=math.nan), "not finite"),
+        (lambda rs: rs[2].update(age=math.inf),
+         "line 3: record p009: age inf is not finite"),
+    "age_nan": (lambda rs: rs[2].update(age=math.nan),
+                "line 3: record p009: age nan is not finite"),
     "value_infinity":
         (lambda rs: rs[2]["features"]["hr"].__setitem__(0, math.inf),
-         "feature hr value inf is not finite"),
+         "line 3: record p009: feature hr value inf is not finite"),
     # and an integer of any length, which no float holds
     "age_too_large_for_float":
-        (lambda rs: rs[2].update(age=10**400), "age inf is not finite"),
+        (lambda rs: rs[2].update(age=10**400),
+         "line 3: record p009: age inf is not finite"),
     "visit_time_too_large_for_float":
         (lambda rs: rs[2]["visit_times"].__setitem__(0, 10**400),
-         "visit_times must be finite"),
+         "line 3: record p009: visit_times must be finite"),
     "value_too_large_for_float":
         (lambda rs: rs[2]["features"]["hr"].__setitem__(0, 10**400),
-         "feature hr value inf is not finite"),
+         "line 3: record p009: feature hr value inf is not finite"),
 }
 
 
@@ -612,6 +633,18 @@ class TestEvalSentences:
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_repeated_text_exits_2(self, tmp_path, capsys):
+        pairs = self.write_pairs(tmp_path, [("a", "b", 1.0)])
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text('{"text": "a", "embedding": [1.0]}\n'
+                       '{"text": "b", "embedding": [1.0]}\n\n'
+                       '{"text": "a", "embedding": [2.0]}\n')
+        assert main(["eval-sentences", "--pairs", str(pairs),
+                     "--embeddings-file", str(emb),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "error: line 4: text 'a' repeats line 1\n"
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_embeddings_exit_2(self, tmp_path, capsys):
         """Finite vectors whose squares overflow: one error line naming the
@@ -708,6 +741,38 @@ class TestEvalIcd:
                      "--embeddings-file", str(emb), "--ks", "3",
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_repeated_code_exits_2(self, tmp_path, capsys):
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text("".join(
+            json.dumps({"code": code, "embedding": [float(i)]}) + "\n"
+            for i, code in enumerate(["A000", "A001", "B000", "A001"])))
+        assert main(["eval-icd", "--order-file", self.ORDER,
+                     "--embeddings-file", str(emb), "--ks", "3",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "error: line 4: code 'A001' repeats line 2\n"
+
+    def test_surplus_clusters_warn_on_stderr(self, tmp_path, capsys):
+        """Two distinct vectors for 12 codes: K = 3 and K = 12 end with two
+        non-empty clusters, said once each on stderr; stdout and the
+        report are as for any run."""
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text("".join(
+            json.dumps({"code": f"{chap}00{i}",
+                        "embedding": [float(i % 2), 1.0]}) + "\n"
+            for chap in "ABE" for i in range(4)))
+        out = tmp_path / "out"
+        assert main(["eval-icd", "--order-file", self.ORDER,
+                     "--embeddings-file", str(emb), "--ks", "2,3,12",
+                     "--output-dir", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("warning: k=3 ended with 2 non-empty clusters\n"
+                                "warning: k=12 ended with 2 non-empty "
+                                "clusters\n")
+        assert captured.out == f"wrote {out}/report.json (12 codes)\n"
+        report = strict_json(out / "report.json")
+        assert sorted(report) == ["mean", "n_codes", "per_k", "seed"]
 
     def test_embeddings_of_different_lengths(self, tmp_path, capsys):
         emb = tmp_path / "emb.jsonl"

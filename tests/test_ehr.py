@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 
 from ehrbench import errors
 from ehrbench.ehr import (
-    TIME_DATE,
-    TIME_HOURS,
-    TIME_ORDINAL,
     FeatureCatalog,
     PatientRecord,
     SplitSpec,
@@ -29,10 +26,10 @@ def make_record(visit_times, series, **kwargs):
 
 
 class TestPatientRecord:
-    def test_time_kind_inference(self):
-        assert make_record(("2020-01-01", "2020-01-02"), [1.0, 2.0]).time_kind == TIME_DATE
-        assert make_record((0, 1, 2), [1.0, 2.0, 3.0]).time_kind == TIME_ORDINAL
-        assert make_record((0.0, 12.5), [1.0, 2.0]).time_kind == TIME_HOURS
+    def test_dated(self):
+        assert make_record(("2020-01-01", "2020-01-02"), [1.0, 2.0]).dated
+        assert not make_record((0, 1, 2), [1.0, 2.0, 3.0]).dated
+        assert not make_record((0.0, 12.5), [1.0, 2.0]).dated
 
     def test_decreasing_times_rejected(self):
         with pytest.raises(errors.InvariantViolation):
@@ -118,7 +115,7 @@ class TestCohortLoading:
         rec = lab_cohort.records[0]
         assert rec.patient_id == "lab-001"
         assert len(rec.visit_times) == 7
-        assert rec.time_kind == TIME_DATE
+        assert rec.dated
         assert rec.features["f03"][0] == 103.10
 
     def test_long_csv_roundtrip(self, tmp_path):
@@ -240,17 +237,17 @@ def load_long_csv(tmp_path, rows, labels="p1,mortality,1\n"):
 
 
 class TestLongCsv:
-    @pytest.mark.parametrize("cells, times, kind", [
-        (("12.5", "0.5", "3"), (0.5, 3, 12.5), TIME_HOURS),
+    @pytest.mark.parametrize("cells, times, dated", [
+        (("12.5", "0.5", "3"), (0.5, 3, 12.5), False),
         (("2020-03-01", "2019-12-31", "2020-01-02"),
-         ("2019-12-31", "2020-01-02", "2020-03-01"), TIME_DATE),
+         ("2019-12-31", "2020-01-02", "2020-03-01"), True),
     ], ids=["hours", "dates"])
     def test_visits_in_time_order_whatever_the_row_order(
-            self, tmp_path, cells, times, kind):
+            self, tmp_path, cells, times, dated):
         rows = "".join(f"p1,{t},hr,{i}\n" for i, t in enumerate(cells))
         p1 = load_long_csv(tmp_path, rows).get("p1")
         assert p1.visit_times == times
-        assert p1.time_kind == kind
+        assert p1.dated == dated
         assert p1.features["hr"] == tuple(
             float(cells.index(str(t))) for t in times)
 

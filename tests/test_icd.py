@@ -249,22 +249,30 @@ def direct_kmeans(embeddings, k, seed):
 def direct_lloyd(points, centroids):
     """Lloyd iterations from ``centroids`` in the direct form, every centroid
     recomputed every iteration -> labels, centroids, iterations run and the
-    number of empty clusters reseeded."""
+    number of empty clusters reseeded. After the member means, the empty
+    clusters in index order take the points farthest from their assigned
+    centroid, one each, by distance and then index; a point at distance 0
+    is never taken."""
     n, k = len(points), len(centroids)
     reseeds = 0
     for iterations in range(1, _MAX_ITER + 1):
         dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels = dist2.argmin(axis=1)
         new_centroids = centroids.copy()
+        empty = []
         for c in range(k):
             members = points[labels == c]
             if len(members):
                 new_centroids[c] = members.mean(axis=0)
             else:
-                reseeds += 1
-                farthest = int(dist2[np.arange(n), labels].argmax())
-                new_centroids[c] = points[farthest]
-                labels[farthest] = c
+                empty.append(c)
+        own = dist2[np.arange(n), labels]
+        farthest = sorted((i for i in range(n) if own[i] > 0),
+                          key=lambda i: (-own[i], i))
+        for c, i in zip(empty, farthest):
+            reseeds += 1
+            new_centroids[c] = points[i]
+            labels[i] = c
         shift = float(np.sqrt(((new_centroids - centroids) ** 2)
                               .sum(axis=1)).max())
         centroids = new_centroids
@@ -337,6 +345,18 @@ def assert_matches_direct(points, k, seed):
     return reseeds
 
 
+def assert_lloyd_matches_direct(points, start):
+    """``icd._lloyd`` from ``start`` equals ``direct_lloyd``; returns the
+    reseed count."""
+    labels, centroids, iterations = icd._lloyd(
+        points, (points ** 2).sum(axis=1), start.copy())
+    want = direct_lloyd(points, start)
+    assert labels.tolist() == list(want[0])
+    assert centroids.tobytes() == np.array(want[1]).tobytes()
+    assert iterations == want[2]
+    return want[3]
+
+
 class TestKmeansEqualsDirectForm:
     """The matrix-product distances give the direct form's D^2 in the
     seeding and its labels in the iterations, bit for bit, ties included."""
@@ -356,13 +376,41 @@ class TestKmeansEqualsDirectForm:
             assert_matches_direct(points, k, [i, k])
 
     def test_repeated_points_reseed_empty_clusters(self, rng):
+        """Started away from the points, the clusters that no point is
+        nearest take the farthest points, several in one iteration. (The
+        means of identical points then miss them by a rounding step, so
+        these runs go on reseeding to the iteration cap, in both forms.)"""
         reseeds = 0
         for i in range(20):
             distinct = rng.normal(size=(int(rng.integers(2, 5)), 3))
             points = distinct[rng.integers(0, len(distinct), size=30)]
-            k = len(distinct) + int(rng.integers(1, 4))
-            reseeds += assert_matches_direct(points, k, [i, k])
+            start = rng.normal(size=(len(distinct) + int(rng.integers(1, 4)),
+                                     3))
+            reseeds += assert_lloyd_matches_direct(points, start)
         assert reseeds > 0
+
+    def test_more_clusters_than_distinct_points(self, rng):
+        """The seeding puts a centroid on every distinct point, so no point
+        lies away from its centroid: the surplus clusters stay empty and the
+        labels stand still."""
+        for i in range(20):
+            distinct = rng.normal(size=(int(rng.integers(2, 5)), 3))
+            points = distinct[rng.integers(0, len(distinct), size=30)]
+            k = len(distinct) + int(rng.integers(1, 4))
+            assert assert_matches_direct(points, k, [i, k]) == 0
+            assert len(set(kmeans(points, k, [i, k]).labels)) == len(distinct)
+
+    def test_surplus_clusters_far_from_origin(self, rng):
+        """Far from the origin the mean of identical points can miss them by
+        more than the shift tolerance, so they lie away from it in the next
+        iteration: the clusters left empty are looked at again and take
+        them, as in the direct form (which then reseeds to the iteration
+        cap)."""
+        for i in range(10):
+            distinct = 1e11 * rng.normal(size=(int(rng.integers(2, 5)), 3))
+            points = distinct[rng.integers(0, len(distinct), size=30)]
+            k = len(distinct) + int(rng.integers(1, 4))
+            assert_matches_direct(points, k, [i, k])
 
     def test_single_cluster(self, rng):
         for i in range(5):
@@ -410,6 +458,17 @@ def test_near_tie_rows_are_recomputed_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_surplus_clusters_end_the_run():
+    """1,500 points drawn from 20 distinct vectors, K = 50: the 30 clusters
+    that cannot hold a distinct point stay empty instead of taking the same
+    point in turn until the iteration cap."""
+    rng = np.random.default_rng(0)
+    points = rng.normal(size=(20, 256))[rng.integers(0, 20, size=1500)]
+    assignment = kmeans(points, 50, seed=0)
+    assert assignment.iterations_run < 10
+    assert len(set(assignment.labels)) == 20
 
 
 class TestLloydSkipsUnchangedClusters:

@@ -1,6 +1,4 @@
-import importlib.util
 import os
-import sys
 import warnings
 
 import numpy as np
@@ -8,7 +6,7 @@ import pytest
 
 from conftest import golden_settings, random_record
 from ehrbench import errors
-from ehrbench.ehr import TIME_DATE, TIME_ORDINAL, PatientRecord
+from ehrbench.ehr import PatientRecord
 from ehrbench.prompts import (
     FALLBACK_SENTENCE,
     ICL_HEADER,
@@ -63,15 +61,10 @@ class TestGoldenSnapshots:
                 assert p >= 0.5
 
 
-def test_fixture_script_regenerates_golden(fixtures_dir, monkeypatch):
-    """scripts/make_fixtures.py, with its own copy of the ICL constants,
-    writes the checked-in golden snapshots byte for byte."""
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
-    path = os.path.join(fixtures_dir, "..", "..", "scripts", "make_fixtures.py")
-    spec = importlib.util.spec_from_file_location("make_fixtures", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    rendered = module.golden_prompts()
+def test_fixture_script_regenerates_golden(fixtures_dir, fixture_script):
+    """scripts/make_fixtures.py writes the checked-in golden snapshots byte
+    for byte."""
+    rendered = fixture_script.golden_prompts()
     golden_dir = os.path.join(fixtures_dir, "golden")
     assert sorted(rendered) == sorted(os.listdir(golden_dir))
     for name, prompt in rendered.items():
@@ -246,7 +239,7 @@ class TestIclExamples:
     def spec(self, **kwargs):
         defaults = dict(
             group_stats={0: {"hr": (80.0, 0.0)}, 1: {"hr": (120.0, 0.0)}},
-            seed=5, n_visits=3, time_kind=TIME_ORDINAL)
+            seed=5, n_visits=3)
         defaults.update(kwargs)
         return IclExampleSpec(**defaults)
 

@@ -2,29 +2,13 @@
 inputs, byte-compared with the snapshots that ``scripts/make_fixtures.py``
 wrote into tests/fixtures/reports/. A change that moves a report fails here
 and names the first JSON path that differs."""
-import importlib.util
 import json
 import os
-import sys
 
 import pytest
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 REPORTS = os.path.join(FIXTURES, "reports")
-SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts",
-                      "make_fixtures.py")
-
-
-@pytest.fixture(scope="module")
-def fixture_script():
-    saved = list(sys.path)  # the script extends it
-    try:
-        spec = importlib.util.spec_from_file_location("make_fixtures", SCRIPT)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = saved
-    return module
 
 
 @pytest.fixture(scope="module")

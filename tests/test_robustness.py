@@ -307,3 +307,19 @@ def test_mutated_input_exits_cleanly(no_network, command, data):
         if out_is_file:
             _write({"out": b""})
         assert _run(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("section, key", [("bootstrap", "n"),
+                                          ("prompt", "n_icl_examples")])
+def test_count_past_its_bound_exits_2(no_network, section, key):
+    """10**400 as a count, which ``VALUES`` can put in only by chance: the
+    config is refused before any data is read or request sent."""
+    files = dict(_run_files())
+    config = json.loads(files["config.json"])
+    config[section][key] = 10**400
+    files["config.json"] = _json(config)
+    for command in ("predict", "prompt-preview"):
+        with tempfile.TemporaryDirectory() as tmp, _working_dir(tmp):
+            _write(files)
+            assert _run(COMMANDS[command][1]) == 2
+            assert not os.path.exists("out")
