@@ -328,12 +328,13 @@ def cmd_predict(args):
         if isinstance(result, Exception):
             n_errors += 1
             o = outcomes[sid] = gateway.PredictionOutcome(
-                sid, "missing", None, f"<error: {result}>")
+                "missing", None, f"<error: {result}>")
         else:
-            o = outcomes[sid] = gateway.decode_probability(result, sid)
+            o = outcomes[sid] = gateway.decode_probability(result)
         sha = hashlib.sha256(rendered[sid].encode("utf-8")).hexdigest()
-        transcript.append(json.dumps({**vars(o), "prompt_sha256": sha},
-                                     sort_keys=True) + "\n")
+        transcript.append(json.dumps(
+            {**vars(o), "sample_id": sid, "prompt_sha256": sha},
+            sort_keys=True) + "\n")
     del rendered  # free the prompts before the bootstrap
     rate = gateway.missing_rate(
         outcomes.values(),

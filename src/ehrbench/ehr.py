@@ -64,7 +64,7 @@ def _time_keys(patient_id, visit_times):
 class PatientRecord:
     patient_id: str
     sex: str
-    age: float
+    age: float | None  # None: unknown, as in a long-CSV cohort
     visit_times: tuple
     features: dict
     label: int | None = None
@@ -77,9 +77,9 @@ class PatientRecord:
         pid = self.patient_id
         if self.sex not in SEXES:
             raise InvariantViolation(f"record {pid}: sex {self.sex!r} not in {SEXES}")
-        if self.age < 0:
+        if self.age is not None and self.age < 0:
             raise InvariantViolation(f"record {pid}: negative age {self.age}")
-        if not math.isfinite(self.age):
+        if self.age is not None and not math.isfinite(self.age):
             raise InvariantViolation(f"record {pid}: age {self.age} is not finite")
         n = len(self.visit_times)
         for fid, series in self.features.items():
@@ -198,13 +198,16 @@ LABELS_CSV_HEADER = ["patient_id", "task", "label"]
 def _read_csv(path, header, what):
     """Yield (line number, row) for every non-blank row of a CSV file whose
     first row is ``header``; a row of another width raises ``ParseError``.
+    A row's line number is the file line it ends on: a quoted cell may span
+    lines.
     """
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, None)
         if found != header:
             raise SchemaMismatch(f"{what} header {found} != {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) != len(header):
@@ -261,13 +264,15 @@ def _parse_value(token, kind, lineno):
 
 
 def _parse_label(token, where):
+    """0 or 1 from a CSV cell, or from a JSON number or string; a bool, a
+    fraction and any other number are no label."""
     try:
-        value = int(token)
-    except (ValueError, TypeError):
-        raise InvariantViolation(f"{where}: label {token!r} not in {{0,1}}") from None
-    if value not in (0, 1):
-        raise InvariantViolation(f"{where}: label {value} not in {{0,1}}")
-    return value
+        value = int(token) if isinstance(token, str) else token
+    except ValueError:
+        value = token
+    if isinstance(value, bool) or value not in (0, 1):
+        raise InvariantViolation(f"{where}: label {value!r} not in {{0,1}}")
+    return int(value)
 
 
 def _load_labels(path, task):
@@ -317,7 +322,7 @@ def _load_long_csv(path, catalog, task, labels_path):
             PatientRecord(
                 patient_id=pid,
                 sex="unknown",
-                age=0.0,
+                age=None,
                 visit_times=tuple(times),
                 features=features,
                 label=labels.get(pid),

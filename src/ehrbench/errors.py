@@ -82,11 +82,7 @@ class UnknownSample(EhrBenchError):
 # --- gateway ---
 
 class GatewayError(EhrBenchError):
-    def __init__(self, message, sample_id=None):
-        if sample_id is not None:
-            message = f"sample {sample_id}: {message}"
-        super().__init__(message)
-        self.sample_id = sample_id
+    pass
 
 
 class EndpointUnreachable(GatewayError):

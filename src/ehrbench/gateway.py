@@ -102,7 +102,6 @@ class EndpointConfig:
 
 @dataclass(frozen=True)
 class PredictionOutcome:
-    sample_id: str
     status: str  # "decoded" | "fallback_unknown" | "missing"
     probability: float | None
     raw_text: str
@@ -269,7 +268,7 @@ def _exchange(conn, target, body, headers):
             reused = False
 
 
-def _post_with_retries(cfg, path, payload, sample_id=None):
+def _post_with_retries(cfg, path, payload):
     """POST ``payload`` to ``cfg.base_url + path``; return a 2xx JSON body.
 
     Sends over the ``_run`` worker's kept-alive connection to the endpoint
@@ -303,19 +302,19 @@ def _post_with_retries(cfg, path, payload, sample_id=None):
                 status, data, retry_after = _exchange(conn, prefix + path,
                                                       body, headers)
             except (OSError, HTTPException) as exc:
-                last_error = EndpointUnreachable(str(exc), sample_id=sample_id)
+                last_error = EndpointUnreachable(str(exc))
             else:
                 if 200 <= status < 300:
                     try:
                         return json.loads(data)
                     except ValueError:
-                        raise GatewayError(f"HTTP {status} body is not JSON",
-                                           sample_id=sample_id) from None
+                        raise GatewayError(
+                            f"HTTP {status} body is not JSON") from None
                 if status != 429 and status < 500:
                     error = AuthFailure if status in (401, 403) else GatewayError
-                    raise error(f"HTTP {status}", sample_id=sample_id)
+                    raise error(f"HTTP {status}")
                 error = RateLimited if status == 429 else EndpointUnreachable
-                last_error = error(f"HTTP {status}", sample_id=sample_id)
+                last_error = error(f"HTTP {status}")
                 # delay-seconds is digits only (RFC 9110 section 10.2.3)
                 if status in (429, 503) and re.fullmatch(
                         r"[0-9]+", (retry_after or "").strip()):
@@ -331,7 +330,7 @@ def _post_with_retries(cfg, path, payload, sample_id=None):
     raise last_error
 
 
-def complete(text, cfg, sample_id=None):
+def complete(text, cfg):
     """One chat completion of ``text``; returns the raw response text.
 
     A body without a string ``choices[0].message.content`` raises
@@ -346,24 +345,23 @@ def complete(text, cfg, sample_id=None):
         "top_k": cfg.top_k,
         "max_tokens": cfg.max_new_tokens,
     }
-    body = _post_with_retries(cfg, "/chat/completions", payload,
-                              sample_id=sample_id)
+    body = _post_with_retries(cfg, "/chat/completions", payload)
     try:
         content = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError):
         content = None
     if not isinstance(content, str):
         raise GatewayError('chat response lacks a string '
-                           '"choices[0].message.content"', sample_id=sample_id)
+                           '"choices[0].message.content"')
     return content
 
 
-def complete_batch(prompts_by_id, cfg, max_error_frac=1.0):
-    """{sample_id: raw_text or GatewayError}, one ``_run`` job per prompt
-    text; past ``max_error_frac`` of them failed, no prompt is sent."""
-    results = _run(lambda sid, text: complete(text, cfg, sample_id=sid),
-                   prompts_by_id.items(), cfg.max_in_flight, max_error_frac)
-    return dict(zip(prompts_by_id, results))
+def complete_batch(prompts, cfg, max_error_frac=1.0):
+    """{key: raw_text or GatewayError} for {key: prompt text}, one ``_run``
+    job per text; past ``max_error_frac`` of them failed, no text is sent."""
+    results = _run(lambda _, text: complete(text, cfg), prompts.items(),
+                   cfg.max_in_flight, max_error_frac)
+    return dict(zip(prompts, results))
 
 
 def _stub_embed(texts, dim):
@@ -456,7 +454,7 @@ _NUMBER = re.compile(
     r"(-?)((?:\d+(?:\.\d+)?|\.\d+)(?:[eE][-+]?\d+)?)\s*(%?)")
 
 
-def decode_probability(raw_text, sample_id=""):
+def decode_probability(raw_text):
     """Decode a free-text response into a PredictionOutcome.
 
     Refusals ("I do not know") map to the 0.5 fallback. Otherwise the first
@@ -465,7 +463,7 @@ def decode_probability(raw_text, sample_id=""):
     Out-of-range numbers are skipped, so "85" alone decodes to nothing.
     """
     if _REFUSAL.search(raw_text):
-        return PredictionOutcome(sample_id, "fallback_unknown", 0.5, raw_text)
+        return PredictionOutcome("fallback_unknown", 0.5, raw_text)
     for match in _NUMBER.finditer(raw_text):
         if match.group(1):
             continue  # negative numbers are never valid probabilities
@@ -473,8 +471,8 @@ def decode_probability(raw_text, sample_id=""):
         if match.group(3):
             value /= 100.0
         if 0.0 <= value <= 1.0:
-            return PredictionOutcome(sample_id, "decoded", value, raw_text)
-    return PredictionOutcome(sample_id, "missing", None, raw_text)
+            return PredictionOutcome("decoded", value, raw_text)
+    return PredictionOutcome("missing", None, raw_text)
 
 
 def missing_rate(outcomes, count_unknown_as_missing=False):

@@ -178,13 +178,16 @@ def _line(name, tokens):
 
 
 def _preamble(sex, age, visit_times, sep):
-    """Three sentences joined by ``sep``: " " for dated records and every
-    in-context example, "\n" for the rest."""
+    """Sentences joined by ``sep``: " " for dated records and every
+    in-context example, "\n" for the rest. The first, on sex and age, is
+    left out when the age is None."""
     n = len(visit_times)
     times = ", ".join(str(t) for t in visit_times)
     visits_word = "visit" if n == 1 else "visits"
+    demographics = () if age is None else (
+        f"The patient is a {sex}, aged {age} years.",)
     return sep.join((
-        f"The patient is a {sex}, aged {age} years.",
+        *demographics,
         f"The patient had {n} {visits_word} that occurred at {times}.",
         "Details of the features for each visit are as follows:",
     ))

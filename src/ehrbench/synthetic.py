@@ -8,7 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ehr import Cohort, FeatureCatalog, FeatureCatalogEntry, PatientRecord
+from .ehr import (
+    CATALOG_HEADER,
+    Cohort,
+    FeatureCatalog,
+    FeatureCatalogEntry,
+    PatientRecord,
+)
 
 FEATURES = (
     ("hr", "Heart Rate", "bpm", "60 - 100"),
@@ -79,8 +85,7 @@ def write_catalog_csv(catalog, path):
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["feature_id", "display_name", "unit",
-                         "reference_range", "kind"])
+        writer.writerow(CATALOG_HEADER)
         for e in catalog:
             writer.writerow([e.feature_id, e.display_name, e.unit or "",
                              e.reference_range or "", e.kind])

@@ -196,8 +196,7 @@ def test_score_reports_auroc_error_beside_auprc():
     """On an all-positive test split AUROC is undefined on every resample;
     its error goes in its place and AUPRC is still scored."""
     records = [SimpleNamespace(patient_id=f"p{i}", label=1) for i in range(5)]
-    outcomes = {r.patient_id: PredictionOutcome(r.patient_id, "decoded",
-                                                0.2 * i, "x")
+    outcomes = {r.patient_id: PredictionOutcome("decoded", 0.2 * i, "x")
                 for i, r in enumerate(records)}
     scores = _score(outcomes, records, BootstrapSpec(n=10, seed=0))
     assert scores["auroc"] == {"error": "5 positives, 0 negatives"}
@@ -376,6 +375,14 @@ BAD_RECORDS = {
     "value_too_large_for_float":
         (lambda rs: rs[2]["features"]["hr"].__setitem__(0, 10**400),
          "line 3: record p009: feature hr value inf is not finite"),
+    # int() would truncate each to 0 or 1
+    "label_fraction": (lambda rs: rs[2].update(label=0.7),
+                       "line 3: record p009: label 0.7 not in {0,1}"),
+    "label_bool": (lambda rs: rs[2].update(label=True),
+                   "line 3: record p009: label True not in {0,1}"),
+    "labels_task_fraction":
+        (lambda rs: rs[2].update(label=None, labels={"mortality": 0.5}),
+         "line 3: record p009: label 0.5 not in {0,1}"),
 }
 
 
@@ -556,6 +563,32 @@ class TestPromptPreview:
             assert main(["prompt-preview", "--config", str(config_path),
                          "--sample-id", entry["sample_id"]]) == 0
             text = capsys.readouterr().out[:-1]
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+                entry["prompt_sha256"]
+
+    def test_long_csv_preview_has_no_demographics(self, tmp_path, capsys):
+        """A long-CSV record has no sex or age, so its prompt has no
+        sentence on them; the preview is still the prompt sent."""
+        config_path, config = write_run_config(tmp_path)
+        cohort, labels = tmp_path / "cohort.csv", tmp_path / "labels.csv"
+        cohort.write_text("patient_id,visit_time,feature_id,value\n" + "".join(
+            f"p{i},{t},hr,{80 + i + t}\n" for i in range(4) for t in (0, 1)))
+        labels.write_text("patient_id,task,label\n" + "".join(
+            f"p{i},mortality,{i % 2}\n" for i in range(4)))
+        config["data"].update(cohort=str(cohort), labels=str(labels))
+        config["split"].update(train_frac=0.0, val_frac=0.0, test_frac=1.0)
+        config_path.write_text(json.dumps(config))
+        assert main(["predict", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "out" / "transcript.jsonl") as fh:
+            entries = [json.loads(line) for line in fh]
+        assert len(entries) == 4
+        for entry in entries:
+            assert main(["prompt-preview", "--config", str(config_path),
+                         "--sample-id", entry["sample_id"]]) == 0
+            text = capsys.readouterr().out[:-1]
+            assert "aged" not in text
+            assert "The patient had 2 visits" in text
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
                 entry["prompt_sha256"]
 

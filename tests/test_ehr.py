@@ -182,6 +182,16 @@ class TestCohortLoading:
                                  f"got {n_cells + 1}$"):
             load()
 
+    def test_csv_error_names_the_line_a_row_ends_on(self, tmp_path):
+        """A quoted cell may span lines; an error names the file line."""
+        cat = tmp_path / "cat.csv"
+        cat.write_text("feature_id,display_name,unit,reference_range,kind\n"
+                       'hr,"Heart\nRate",,,numeric\n'
+                       "rr,Resp Rate,,,numeric,x\n")
+        with pytest.raises(errors.ParseError,
+                           match="^line 4: expected 5 cells, got 6$"):
+            load_catalog(cat)
+
     def test_unknown_feature_rejected(self, tmp_path):
         cat = tmp_path / "cat.csv"
         cat.write_text("feature_id,display_name,unit,reference_range,kind\n"
@@ -208,6 +218,15 @@ class TestCohortLoading:
         for task, label in (("mortality", 1), ("readmission", 0)):
             cohort = load_cohort(path, vitals_catalog, task)
             assert cohort.get("p1").label == label
+
+    @pytest.mark.parametrize("label", [0, 1, 0.0, 1.0, "0", "1"])
+    def test_jsonl_label_zero_or_one(self, tmp_path, vitals_catalog, label):
+        path = tmp_path / "cohort.jsonl"
+        path.write_text(json.dumps({
+            "patient_id": "p1", "sex": "male", "age": 60, "visit_times": [0],
+            "features": {"hr": [80.0]}, "label": label}) + "\n")
+        p1 = load_cohort(path, vitals_catalog, "mortality").get("p1")
+        assert p1.label == int(label) and type(p1.label) is int
 
     @pytest.mark.parametrize("line, error, message", [
         ('{"patient_id": "p1", "sex": "male", "features": {}}',

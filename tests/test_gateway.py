@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrbench import errors, gateway
-from ehrbench.cli import main
+from ehrbench.cli import RunPlan, main
 from ehrbench.gateway import (
     EndpointConfig,
     MissingRateReport,
@@ -93,9 +93,9 @@ class TestMissingRate:
 
     def test_counts_fallback_as_decoded_by_default(self):
         outcomes = [
-            PredictionOutcome("a", "decoded", 0.3, "0.3"),
-            PredictionOutcome("b", "fallback_unknown", 0.5, "I do not know"),
-            PredictionOutcome("c", "missing", None, "??"),
+            PredictionOutcome("decoded", 0.3, "0.3"),
+            PredictionOutcome("fallback_unknown", 0.5, "I do not know"),
+            PredictionOutcome("missing", None, "??"),
         ]
         assert missing_rate(outcomes).n_decoded == 2
         strict = missing_rate(outcomes, count_unknown_as_missing=True)
@@ -109,11 +109,11 @@ class TestMissingRate:
         with pytest.raises(errors.InvariantViolation):
             MissingRateReport(n_test=2, n_decoded=3)
         with pytest.raises(errors.InvariantViolation):
-            PredictionOutcome("a", "fallback_unknown", 0.4, "x")
+            PredictionOutcome("fallback_unknown", 0.4, "x")
         with pytest.raises(errors.InvariantViolation):
-            PredictionOutcome("a", "decoded", 1.5, "x")
+            PredictionOutcome("decoded", 1.5, "x")
         with pytest.raises(errors.InvariantViolation):
-            PredictionOutcome("a", "missing", 0.1, "x")
+            PredictionOutcome("missing", 0.1, "x")
 
 
 class TestStubs:
@@ -158,15 +158,15 @@ class TestStubs:
         cfg = EndpointConfig(model_name="noise-1", max_in_flight=8)
         prompts = {f"s{i}": f"prompt {i}" for i in range(400)}
         sent = []
-        monkeypatch.setattr(gateway, "complete", lambda prompt, cfg, sample_id:
-                            sent.append(sample_id) or prompt.upper())
+        monkeypatch.setattr(gateway, "complete", lambda prompt, cfg:
+                            sent.append(prompt) or prompt.upper())
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             results = complete_batch(prompts, cfg)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(sent) == sorted(prompts)
+        assert sorted(sent) == sorted(prompts.values())
         assert results == {sid: p.upper() for sid, p in prompts.items()}
 
     def test_batch_surfaces_per_sample_errors(self):
@@ -415,7 +415,7 @@ class TestHttpWireFormat:
         cfg = EndpointConfig(base_url="http://127.0.0.1:9", model_name="m1",
                              max_retries=0, timeout=1)
         with pytest.raises(errors.EndpointUnreachable):
-            complete("x", cfg, sample_id="s1")
+            complete("x", cfg)
 
     @pytest.mark.parametrize("answer, error, message, n_requests", [
         ("drop", errors.EndpointUnreachable, None, 2),
@@ -908,6 +908,30 @@ def test_malformed_chat_response(http_endpoint, tmp_path, name):
     assert all(message in line["raw_text"] for line in lines)
 
 
+def test_failed_request_is_written_under_its_sample_id(http_endpoint,
+                                                      tmp_path):
+    """A failed request's ``raw_text`` is ``<error: HTTP 500>``; the line's
+    ``sample_id`` names the sample, whose prompt its ``prompt_sha256``
+    hashes."""
+    _Handler.script = [500]
+    config_path, _ = write_run_config(
+        tmp_path, endpoint_overrides={"base_url": http_endpoint,
+                                      "max_retries": 0})
+    assert main(["predict", "--config", str(config_path),
+                 "--max-error-frac", "1"]) == 0
+    plan = RunPlan(str(config_path))
+    prompts = {rec.patient_id: plan.render(rec).text
+               for rec in plan.splits.test.records}
+    with open(tmp_path / "out" / "transcript.jsonl") as fh:
+        lines = [json.loads(line) for line in fh]
+    assert [line["sample_id"] for line in lines] == sorted(prompts)
+    for line in lines:
+        assert line["raw_text"] == "<error: HTTP 500>"
+        assert line["prompt_sha256"] == hashlib.sha256(
+            prompts[line["sample_id"]].encode("utf-8")).hexdigest()
+    assert len(_Handler.requests_seen) == len(prompts)
+
+
 # 200 bodies for a two-text embeddings request that are not two embeddings
 BAD_EMBED_BODIES = {
     "not_json": b"<html>ok</html>",
@@ -999,9 +1023,9 @@ class TestErrorBudget:
         sent = []
         send = gateway.complete
 
-        def counted(prompt, cfg, sample_id):
-            sent.append(sample_id)
-            return send(prompt, cfg, sample_id=sample_id)
+        def counted(prompt, cfg):
+            sent.append(prompt)
+            return send(prompt, cfg)
 
         monkeypatch.setattr(gateway, "complete", counted)
         config_path, _ = write_run_config(
@@ -1025,10 +1049,10 @@ class TestErrorBudget:
         floor(15 / 22 * 22) is 14: every sample is sent."""
         failing = []
 
-        def first_15_fail(prompt, cfg, sample_id):
+        def first_15_fail(prompt, cfg):
             if len(failing) < 15:
-                failing.append(sample_id)
-                raise errors.GatewayError("down", sample_id=sample_id)
+                failing.append(prompt)
+                raise errors.GatewayError("down")
             return "0.5"
 
         monkeypatch.setattr(gateway, "complete", first_15_fail)
