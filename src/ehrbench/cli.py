@@ -38,8 +38,8 @@ from .errors import (
     InvariantViolation,
     ParseError,
     UnknownSample,
+    jsonl_objects,
     open_text,
-    read_jsonl,
 )
 
 
@@ -374,29 +374,29 @@ def cmd_prompt_preview(args):
     plan = RunPlan(args.config)
     record = plan.cohort.get(args.sample_id)
     if record is None:
-        raise UnknownSample(args.sample_id)
+        raise UnknownSample(f"sample {args.sample_id!r} is not in cohort "
+                            f"{plan.config.data.cohort}")
     print(plan.render(record).text)
     return 0
 
 
 def _load_sentence_pairs(path):
     pairs = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open_text(path) as lines:
+        for line in lines:
             line = line.rstrip("\n")
             if not line:
                 continue
             cells = line.split("\t")
             if len(cells) != 3:
                 raise ParseError(f"expected 3 tab-separated fields, got "
-                                 f"{len(cells)}", line=lineno)
+                                 f"{len(cells)}")
             try:
                 gold = float(cells[2])
             except ValueError:
-                raise ParseError(f"bad gold score {cells[2]!r}", line=lineno)
+                raise ParseError(f"bad gold score {cells[2]!r}") from None
             if not 0.0 <= gold <= 4.0:
-                raise ParseError(f"gold score {gold} outside [0, 4]",
-                                 line=lineno)
+                raise ParseError(f"gold score {gold} outside [0, 4]")
             pairs.append((cells[0], cells[1], gold))
     return pairs
 
@@ -408,22 +408,18 @@ def _load_embedding_file(path, key="text"):
     line's, and no two lines hold the same ``key``.
     """
     table = {}
-    first_line = {}  # key -> line number
     dim = None
-    for lineno, obj in read_jsonl(path):
-        if not isinstance(obj.get(key), str) or "embedding" not in obj:
-            raise ParseError(
-                f'expected a string "{key}" and an "embedding"', line=lineno)
-        seen = first_line.setdefault(obj[key], lineno)
-        if seen != lineno:
-            raise ParseError(f"{key} {obj[key]!r} repeats line {seen}",
-                             line=lineno)
-        try:
-            row = gateway.embedding_row(obj["embedding"], dim)
-        except ValueError as exc:
-            raise ParseError(f'"embedding" {exc}', line=lineno) from None
-        dim = row.size
-        table[obj[key]] = row
+    with open_text(path) as lines:
+        for obj in jsonl_objects(lines):
+            if not isinstance(obj.get(key), str) or "embedding" not in obj:
+                raise ParseError(f'expected a string "{key}" and an "embedding"')
+            lines.once(obj[key], f"{key} {obj[key]!r}")
+            try:
+                row = gateway.embedding_row(obj["embedding"], dim)
+            except ValueError as exc:
+                raise ParseError(f'"embedding" {exc}') from None
+            dim = row.size
+            table[obj[key]] = row
     return table
 
 
@@ -498,6 +494,9 @@ def cmd_eval_icd(args):
         if n < k:
             print(f"warning: k={k} ended with {n} non-empty clusters",
                   file=sys.stderr)
+        if k in result["capped"]:
+            print(f"warning: k={k} stopped at {icd._MAX_ITER} iterations "
+                  "before converging", file=sys.stderr)
     _write_report(args.output_dir, "report", {
         "n_codes": len(codes),
         "seed": args.seed,

@@ -20,8 +20,8 @@ from .errors import (
     ParseError,
     SchemaMismatch,
     as_float,
+    jsonl_objects,
     open_text,
-    read_jsonl,
 )
 
 SEXES = ("male", "female", "unknown")
@@ -64,7 +64,7 @@ def _time_keys(patient_id, visit_times):
 class PatientRecord:
     patient_id: str
     sex: str
-    age: float | None  # None: unknown, as in a long-CSV cohort
+    age: float | int | None  # None: unknown, as in a long-CSV cohort
     visit_times: tuple
     features: dict
     label: int | None = None
@@ -77,10 +77,11 @@ class PatientRecord:
         pid = self.patient_id
         if self.sex not in SEXES:
             raise InvariantViolation(f"record {pid}: sex {self.sex!r} not in {SEXES}")
-        if self.age is not None and self.age < 0:
-            raise InvariantViolation(f"record {pid}: negative age {self.age}")
-        if self.age is not None and not math.isfinite(self.age):
-            raise InvariantViolation(f"record {pid}: age {self.age} is not finite")
+        age = self.age if self.age is None else as_float(self.age)
+        if age is not None and age < 0:
+            raise InvariantViolation(f"record {pid}: negative age {age}")
+        if age is not None and not math.isfinite(age):
+            raise InvariantViolation(f"record {pid}: age {age} is not finite")
         n = len(self.visit_times)
         for fid, series in self.features.items():
             if len(series) != n:
@@ -129,11 +130,7 @@ class FeatureCatalog:
     """Ordered per-feature metadata; iteration preserves file order."""
 
     def __init__(self, entries):
-        self._entries = {}
-        for e in entries:
-            if e.feature_id in self._entries:
-                raise InvariantViolation(f"duplicate feature_id {e.feature_id}")
-            self._entries[e.feature_id] = e
+        self._entries = {e.feature_id: e for e in entries}
 
     def __iter__(self):
         return iter(self._entries.values())
@@ -195,47 +192,45 @@ COHORT_CSV_HEADER = ["patient_id", "visit_time", "feature_id", "value"]
 LABELS_CSV_HEADER = ["patient_id", "task", "label"]
 
 
-def _read_csv(path, header, what):
-    """Yield (line number, row) for every non-blank row of a CSV file whose
-    first row is ``header``; a row of another width raises ``ParseError``.
-    A row's line number is the file line it ends on: a quoted cell may span
-    lines.
-    """
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise SchemaMismatch(f"{what} header {found} != {header}")
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} cells, got {len(row)}",
-                                 line=lineno)
-            yield lineno, row
+def _csv_rows(lines, header, what):
+    """Yield every non-blank row of CSV ``Lines`` (``open_text`` with
+    ``newline=""``) whose first row is ``header``; a row of another width
+    raises ``ParseError``. A quoted cell may span lines, so a row is placed
+    at the line it ends on."""
+    reader = csv.reader(lines)
+    found = next(reader, None)
+    if found != header:
+        raise SchemaMismatch(f"{what} header {found} != {header}")
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} cells, got {len(row)}")
+        yield row
 
 
 def load_catalog(path):
-    """Read a feature catalog CSV.
+    """Read a feature catalog CSV; no two rows may share a feature_id.
 
     Empty unit/range cells mean absent; a literal "/" is an explicit none and
     is rendered verbatim downstream.
     """
-    return FeatureCatalog(
-        FeatureCatalogEntry(
-            feature_id=fid,
-            display_name=name,
-            unit=unit if unit != "" else None,
-            reference_range=rng if rng != "" else None,
-            kind=kind,
-        )
-        for _, (fid, name, unit, rng, kind)
-        in _read_csv(path, CATALOG_HEADER, "catalog")
-    )
+    entries = []
+    with open_text(path, newline="") as lines:
+        for fid, name, unit, rng, kind in _csv_rows(lines, CATALOG_HEADER,
+                                                    "catalog"):
+            lines.once(fid, f"feature_id {fid!r}")
+            entries.append(FeatureCatalogEntry(
+                feature_id=fid,
+                display_name=name,
+                unit=unit if unit != "" else None,
+                reference_range=rng if rng != "" else None,
+                kind=kind,
+            ))
+    return FeatureCatalog(entries)
 
 
-def _parse_visit_time(token, lineno):
+def _parse_visit_time(token):
     token = token.strip()
     try:
         return int(token)
@@ -249,10 +244,10 @@ def _parse_visit_time(token, lineno):
         _iso_date(token)
         return token
     except ValueError:
-        raise ParseError(f"unparseable visit_time {token!r}", line=lineno) from None
+        raise ParseError(f"unparseable visit_time {token!r}") from None
 
 
-def _parse_value(token, kind, lineno):
+def _parse_value(token, kind):
     if token == "":
         return None
     if kind == "categorical":
@@ -260,32 +255,30 @@ def _parse_value(token, kind, lineno):
     try:
         return float(token)
     except ValueError:
-        raise ParseError(f"unparseable numeric value {token!r}", line=lineno) from None
+        raise ParseError(f"unparseable numeric value {token!r}") from None
 
 
-def _parse_label(token, where):
-    """0 or 1 from a CSV cell, or from a JSON number or string; a bool, a
-    fraction and any other number are no label."""
+def _parse_label(token, patient_id):
+    """Patient ``patient_id``'s 0 or 1 from a CSV cell, or from a JSON number
+    or string; a bool, a fraction and any other number are no label."""
     try:
         value = int(token) if isinstance(token, str) else token
     except ValueError:
         value = token
     if isinstance(value, bool) or value not in (0, 1):
-        raise InvariantViolation(f"{where}: label {value!r} not in {{0,1}}")
+        raise InvariantViolation(
+            f"record {patient_id}: label {value!r} not in {{0,1}}")
     return int(value)
 
 
 def _load_labels(path, task):
     labels = {}
-    first_line = {}  # (patient, task) -> line number
-    for lineno, (pid, row_task, label) in _read_csv(path, LABELS_CSV_HEADER,
-                                                    "labels"):
-        seen = first_line.setdefault((pid, row_task), lineno)
-        if seen != lineno:
-            raise InvariantViolation(f"labels line {lineno}: patient {pid}: "
-                                     f"task {row_task} repeats line {seen}")
-        if row_task == task:
-            labels[pid] = _parse_label(label, f"labels line {lineno}")
+    with open_text(path, newline="") as lines:
+        for pid, row_task, label in _csv_rows(lines, LABELS_CSV_HEADER,
+                                              "labels"):
+            lines.once((pid, row_task), f"patient {pid}: task {row_task}")
+            if row_task == task:
+                labels[pid] = _parse_label(label, pid)
     return labels
 
 
@@ -293,19 +286,17 @@ def _load_long_csv(path, catalog, task, labels_path):
     labels = _load_labels(labels_path, task) if labels_path else {}
     # patient -> visit_time -> feature -> value, preserving first-seen order
     per_patient = {}
-    first_line = {}  # (patient, visit_time, feature) -> line number
-    for lineno, (pid, vt, fid, value) in _read_csv(path, COHORT_CSV_HEADER,
-                                                   "cohort"):
-        if fid not in catalog:
-            raise InvariantViolation(f"line {lineno}: feature {fid} not in catalog")
-        t = _parse_visit_time(vt, lineno)
-        cell = _parse_value(value, catalog[fid].kind, lineno)
-        seen = first_line.setdefault((pid, t, fid), lineno)
-        if seen != lineno:
-            raise ParseError(f"patient {pid}: feature {fid} at visit_time "
-                             f"{vt.strip()!r} repeats line {seen}", line=lineno)
-        visits = per_patient.setdefault(pid, {})
-        visits.setdefault(t, {})[fid] = cell
+    with open_text(path, newline="") as lines:
+        for pid, vt, fid, value in _csv_rows(lines, COHORT_CSV_HEADER,
+                                             "cohort"):
+            if fid not in catalog:
+                raise InvariantViolation(f"feature {fid} not in catalog")
+            t = _parse_visit_time(vt)
+            cell = _parse_value(value, catalog[fid].kind)
+            lines.once((pid, t, fid), f"patient {pid}: feature {fid} at "
+                                      f"visit_time {vt.strip()!r}")
+            visits = per_patient.setdefault(pid, {})
+            visits.setdefault(t, {})[fid] = cell
     records = []
     for pid, visits in per_patient.items():
         key = dict(zip(visits, _time_keys(pid, visits)))
@@ -364,37 +355,31 @@ def _record_json_error(obj, kinds):
 
 def _load_jsonl(path, catalog, task):
     kinds = {e.feature_id: e.kind for e in catalog}
-    first_line = {}  # patient -> line number
+    required = {"patient_id", "sex", "age", "visit_times", "features"}
     records = []
-    for lineno, obj in read_jsonl(path):
-        required = {"patient_id", "sex", "age", "visit_times", "features"}
-        missing = required - obj.keys()
-        if missing:
-            raise SchemaMismatch(f"line {lineno}: missing fields {sorted(missing)}")
-        problem = _record_json_error(obj, kinds)
-        if problem:
-            raise ParseError(problem, line=lineno)
-        pid = str(obj["patient_id"])
-        seen = first_line.setdefault(pid, lineno)
-        if seen != lineno:
-            raise ParseError(f"patient_id {pid!r} repeats line {seen}",
-                             line=lineno)
-        label = obj.get("label")
-        if label is None and "labels" in obj:
-            label = obj["labels"].get(task)
-        try:
+    with open_text(path) as lines:
+        for obj in jsonl_objects(lines):
+            missing = required - obj.keys()
+            if missing:
+                raise SchemaMismatch(f"missing fields {sorted(missing)}")
+            problem = _record_json_error(obj, kinds)
+            if problem:
+                raise ParseError(problem)
+            pid = str(obj["patient_id"])
+            lines.once(pid, f"patient_id {pid!r}")
+            label = obj.get("label")
+            if label is None and "labels" in obj:
+                label = obj["labels"].get(task)
             if label is not None:
-                label = _parse_label(label, f"record {pid}")
+                label = _parse_label(label, pid)
             records.append(PatientRecord(
                 patient_id=pid,
                 sex=obj["sex"],
-                age=as_float(obj["age"]),
+                age=obj["age"],  # an int stays one, and prints as written
                 visit_times=tuple(obj["visit_times"]),
                 features=obj["features"],
                 label=label,
             ))
-        except InvariantViolation as exc:
-            raise InvariantViolation(f"line {lineno}: {exc}") from None
     return records
 
 

@@ -1,6 +1,6 @@
-"""Exception hierarchy shared across the harness, the text and JSONL
-readers that raise its ``ParseError``, and the float conversion behind its
-finite-number checks."""
+"""Exception hierarchy shared across the harness, the one reader of input
+files, which places every error it sees at a file and line, and the float
+conversion behind its finite-number checks."""
 
 import contextlib
 import json
@@ -18,39 +18,61 @@ class SchemaMismatch(EhrBenchError):
 
 
 class ParseError(EhrBenchError):
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    pass
+
+
+class Lines:
+    """The lines of one open text file, counted as they are read: ``number``
+    is the last line read (0 before the first)."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.number = 0
+        self._first = {}  # key -> the line that had it first
+
+    def __iter__(self):
+        for self.number, line in enumerate(self._fh, start=1):
+            yield line
+
+    def once(self, key, shown):
+        """Reject a ``key`` an earlier line had; ``shown`` names it."""
+        seen = self._first.setdefault(key, self.number)
+        if seen != self.number:
+            raise ParseError(f"{shown} repeats line {seen}")
 
 
 @contextlib.contextmanager
 def open_text(path, newline=None):
-    """Open a UTF-8 text file for reading. A byte sequence that is not UTF-8
-    raises ``ParseError`` naming the file, not ``UnicodeDecodeError``."""
+    """Read a UTF-8 text file as ``Lines``. An ``EhrBenchError`` raised in
+    the block is raised again, as the same class, naming the file and the
+    last line read; a byte sequence that is not UTF-8 raises ``ParseError``
+    naming the file, not ``UnicodeDecodeError``."""
     with open(path, encoding="utf-8", newline=newline) as fh:
+        lines = Lines(fh)
         try:
-            yield fh
+            yield lines
         except UnicodeDecodeError as exc:
+            # decoding runs ahead of the line count
             raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") \
                 from None
+        except EhrBenchError as exc:
+            where = f", line {lines.number}" if lines.number else ""
+            raise type(exc)(f"{path}{where}: {exc}") from None
 
 
-def read_jsonl(path):
-    """Yield (line number, object) for every non-blank line of a JSONL file:
-    a cohort or an embeddings file."""
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-            if not isinstance(obj, dict):
-                raise ParseError("expected a JSON object", line=lineno)
-            yield lineno, obj
+def jsonl_objects(lines):
+    """Yield the object on every non-blank line of JSONL ``Lines``: a cohort
+    or an embeddings file."""
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(str(exc)) from None
+        if not isinstance(obj, dict):
+            raise ParseError("expected a JSON object")
+        yield obj
 
 
 def as_float(value):
@@ -124,10 +146,6 @@ class OutOfRange(EhrBenchError):
 
 
 # --- ICD hierarchy ---
-
-class DuplicateCode(EhrBenchError):
-    pass
-
 
 class UnknownCode(EhrBenchError):
     pass

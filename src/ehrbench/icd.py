@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DuplicateCode,
     InvariantViolation,
     ParseError,
     TooFewItems,
@@ -46,11 +45,12 @@ _LONG_DESC = slice(77, None)
 
 
 def parse_order_file(path):
-    """Parse the fixed-width order file into entries, validating as we go."""
+    """Parse the fixed-width order file into entries, validating as we go;
+    no two lines may hold the same code."""
     entries = []
     prev_order = 0
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open_text(path) as lines:
+        for line in lines:
             line = line.rstrip("\n")
             if not line.strip():
                 continue
@@ -58,19 +58,18 @@ def parse_order_file(path):
             try:
                 order_num = int(raw_order)
             except ValueError:
-                raise ParseError(f"bad order number {raw_order!r}", line=lineno)
+                raise ParseError(f"bad order number {raw_order!r}") from None
             if order_num <= prev_order:
                 raise ParseError(
-                    f"order number {order_num} not increasing after {prev_order}",
-                    line=lineno,
-                )
+                    f"order number {order_num} not increasing after {prev_order}")
             prev_order = order_num
             code = line[_CODE].strip()
             if not CODE_PATTERN.match(code):
-                raise ParseError(f"bad code {code!r}", line=lineno)
+                raise ParseError(f"bad code {code!r}")
+            lines.once(code, f"code {code!r}")
             flag = line[_HEADER_FLAG].strip()
             if flag not in ("0", "1"):
-                raise ParseError(f"bad header flag {flag!r}", line=lineno)
+                raise ParseError(f"bad header flag {flag!r}")
             entries.append(
                 IcdEntry(
                     order_num=order_num,
@@ -113,11 +112,7 @@ class IcdTree:
 
 def build_tree(entries):
     """Link every code to its nearest existing shorter prefix."""
-    codes = set()
-    for e in entries:
-        if e.code in codes:
-            raise DuplicateCode(e.code)
-        codes.add(e.code)
+    codes = {e.code for e in entries}
     if not codes:
         raise InvariantViolation("no entries")
     parent = {ROOT: None}
@@ -281,10 +276,11 @@ def _member_mean(points, labels, c):
 
 def _lloyd(points, sq, centroids):
     """Lloyd iterations from ``centroids`` -> (labels, centroids, iterations
-    run). After the member means, the e empty clusters, in index order, take
-    the e points farthest from their assigned centroid, one each, by distance
-    and then index; a point at distance 0 is never taken, so a cluster that
-    gets none keeps its centroid and surplus clusters stay empty.
+    run, converged: did a shift fall below ``_TOL`` within ``_MAX_ITER``).
+    After the member means, the e empty clusters, in index order, take the e
+    points farthest from their assigned centroid, one each, by distance and
+    then index; a point at distance 0 is never taken, so a cluster that gets
+    none keeps its centroid and surplus clusters stay empty.
 
     A centroid that is the mean of the members it still has is kept: the
     same members in the same order give the same sum, bit for bit, so its
@@ -322,13 +318,13 @@ def _lloyd(points, sq, centroids):
         prev = None if len(far) else labels
         if shift < _TOL:
             break
-    return labels, centroids, iterations
+    return labels, centroids, iterations, shift < _TOL
 
 
 def _kmeans_runs(embeddings, ks, seeds):
-    """Yield ``_lloyd``'s (labels, centroids, iterations run) for each K in
-    ``ks`` in turn, K ``ks[i]`` seeded from ``default_rng(seeds[i])``. Every
-    K is seeded before the first yield; Lloyd runs for one K at a time."""
+    """Yield ``_lloyd``'s result for each K in ``ks`` in turn, K ``ks[i]``
+    seeded from ``default_rng(seeds[i])``. Every K is seeded before the
+    first yield; Lloyd runs for one K at a time."""
     points = np.asarray(embeddings, dtype=float)
     n = len(points)
     for k in ks:
@@ -345,7 +341,8 @@ def kmeans(embeddings, k, seed):
     """Lloyd iterations from a seeded k-means++ start; empty clusters are
     reseeded as ``_lloyd`` says. Deterministic for a fixed seed.
     """
-    ((labels, centroids, iterations),) = _kmeans_runs(embeddings, [k], [seed])
+    ((labels, centroids, iterations, _),) = _kmeans_runs(embeddings, [k],
+                                                          [seed])
     return ClusterAssignment(
         k=k,
         labels=labels.tolist(),
@@ -406,8 +403,9 @@ def avg_code_distance(tree, codes, assignment):
 
 
 def hierarchy_benchmark(tree, codes, embeddings, ks, seed=0):
-    """avg_code_distance per cluster count K plus the mean across Ks, and
-    the number of non-empty clusters each K ended with.
+    """avg_code_distance per cluster count K plus the mean across Ks, the
+    number of non-empty clusters each K ended with, and the Ks whose
+    k-means stopped at ``_MAX_ITER`` before converging.
 
     K's k-means is seeded from (seed, K), so each K's result equals
     ``kmeans(embeddings, K, [seed, K])`` whatever the other Ks are. All Ks
@@ -417,9 +415,11 @@ def hierarchy_benchmark(tree, codes, embeddings, ks, seed=0):
         raise InvariantViolation("codes and embeddings length mismatch")
     paths = _root_paths(tree, codes)
     runs = _kmeans_runs(embeddings, ks, [[seed, k] for k in ks])
-    per_k, non_empty = {}, {}
-    for k, (labels, _, _) in zip(ks, runs):
+    per_k, non_empty, capped = {}, {}, []
+    for k, (labels, _, _, converged) in zip(ks, runs):
         per_k[k] = _clustering_distance(paths, labels, k)
         non_empty[k] = int(np.count_nonzero(np.bincount(labels, minlength=k)))
+        if not converged:
+            capped.append(k)
     return {"per_k": per_k, "mean": sum(per_k.values()) / len(per_k),
-            "non_empty": non_empty}
+            "non_empty": non_empty, "capped": capped}

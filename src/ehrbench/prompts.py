@@ -180,12 +180,13 @@ def _line(name, tokens):
 def _preamble(sex, age, visit_times, sep):
     """Sentences joined by ``sep``: " " for dated records and every
     in-context example, "\n" for the rest. The first, on sex and age, is
-    left out when the age is None."""
+    left out when the age is None, and names no sex that is unknown."""
     n = len(visit_times)
     times = ", ".join(str(t) for t in visit_times)
     visits_word = "visit" if n == 1 else "visits"
+    who = "" if sex == "unknown" else f" a {sex},"
     demographics = () if age is None else (
-        f"The patient is a {sex}, aged {age} years.",)
+        f"The patient is{who} aged {age} years.",)
     return sep.join((
         *demographics,
         f"The patient had {n} {visits_word} that occurred at {times}.",

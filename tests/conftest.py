@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -11,6 +12,18 @@ from ehrbench.ehr import PatientRecord, load_catalog, load_cohort
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 FIXTURE_SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts",
                               "make_fixtures.py")
+
+
+def pytest_collection_modifyitems(items):
+    """A file or socket a test leaves open, or an exception raised in a
+    destructor, fails that test."""
+    here = pathlib.Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings(
+                "error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings(
+                "error::pytest.PytestUnraisableExceptionWarning"))
 
 
 @functools.cache

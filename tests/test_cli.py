@@ -369,6 +369,9 @@ BAD_RECORDS = {
     "age_too_large_for_float":
         (lambda rs: rs[2].update(age=10**400),
          "line 3: record p009: age inf is not finite"),
+    "age_too_negative_for_float":
+        (lambda rs: rs[2].update(age=-10**400),
+         "line 3: record p009: negative age -inf"),
     "visit_time_too_large_for_float":
         (lambda rs: rs[2]["visit_times"].__setitem__(0, 10**400),
          "line 3: record p009: visit_times must be finite"),
@@ -443,7 +446,7 @@ def test_long_csv_feature_not_in_catalog_exits_2(tmp_path, capsys):
     config_path.write_text(json.dumps(config))
     assert main(["predict", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: line 3: feature zz not in catalog\n"
+    assert err == f"error: {cohort}, line 3: feature zz not in catalog\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1e400"])
@@ -592,6 +595,23 @@ class TestPromptPreview:
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
                 entry["prompt_sha256"]
 
+    @pytest.mark.parametrize("sex, age, sentence", [
+        ("unknown", 65, "The patient is aged 65 years."),
+        ("female", 65, "The patient is a female, aged 65 years."),
+        ("unknown", 65.5, "The patient is aged 65.5 years."),
+    ])
+    def test_demographics_as_written(self, tmp_path, capsys, sex, age,
+                                     sentence):
+        """A JSON integer age prints as one, and an unknown sex is not
+        named."""
+        config_path, config = write_run_config(tmp_path)
+        (tmp_path / "cohort.jsonl").write_text(json.dumps({
+            "patient_id": "p1", "sex": sex, "age": age, "visit_times": [0],
+            "features": {"hr": [80.0]}, "label": 1}) + "\n")
+        assert main(["prompt-preview", "--config", str(config_path),
+                     "--sample-id", "p1"]) == 0
+        assert sentence in capsys.readouterr().out.splitlines()
+
     def test_task_comes_from_data(self, tmp_path, capsys):
         config_path, config = write_run_config(tmp_path)
         config["data"]["task"] = "readmission"
@@ -606,7 +626,9 @@ class TestPromptPreview:
         config_path = self.config_for_fixture(tmp_path, "lab")
         assert main(["prompt-preview", "--config", str(config_path),
                      "--sample-id", "nobody"]) == 2
-        assert "nobody" in capsys.readouterr().err
+        cohort = os.path.join(FIXTURES, "lab_cohort.jsonl")
+        assert capsys.readouterr().err == \
+            f"error: sample 'nobody' is not in cohort {cohort}\n"
 
 
 class TestEvalSentences:
@@ -676,7 +698,7 @@ class TestEvalSentences:
                      "--embeddings-file", str(emb),
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == \
-            "error: line 4: text 'a' repeats line 1\n"
+            f"error: {emb}, line 4: text 'a' repeats line 1\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_embeddings_exit_2(self, tmp_path, capsys):
@@ -745,7 +767,7 @@ class TestEvalSentences:
         assert main(["eval-sentences", "--pairs", str(path),
                      "--model", "hash-embed-nonsense",
                      "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}, line 2: {message}\n"
 
 
 class TestEvalIcd:
@@ -784,7 +806,7 @@ class TestEvalIcd:
                      "--embeddings-file", str(emb), "--ks", "3",
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == \
-            "error: line 4: code 'A001' repeats line 2\n"
+            f"error: {emb}, line 4: code 'A001' repeats line 2\n"
 
     def test_surplus_clusters_warn_on_stderr(self, tmp_path, capsys):
         """Two distinct vectors for 12 codes: K = 3 and K = 12 end with two
@@ -806,6 +828,27 @@ class TestEvalIcd:
         assert captured.out == f"wrote {out}/report.json (12 codes)\n"
         report = strict_json(out / "report.json")
         assert sorted(report) == ["mean", "n_codes", "per_k", "seed"]
+
+    @pytest.mark.parametrize("cap", [1, None], ids=["capped", "default"])
+    def test_k_stopped_at_the_cap_warns(self, tmp_path, capsys, monkeypatch,
+                                        cap):
+        """A K whose centroids still moved at the last iteration says so on
+        stderr; stdout and the report are as for any run."""
+        from ehrbench import icd
+
+        if cap is not None:
+            monkeypatch.setattr(icd, "_MAX_ITER", cap)
+        out = tmp_path / "out"
+        assert main(["eval-icd", "--order-file", self.ORDER,
+                     "--model", "hash-embed-8", "--ks", "2,3",
+                     "--output-dir", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("" if cap is None else
+                                "warning: k=2 stopped at 1 iterations before "
+                                "converging\n"
+                                "warning: k=3 stopped at 1 iterations before "
+                                "converging\n")
+        assert captured.out == f"wrote {out}/report.json (12 codes)\n"
 
     def test_embeddings_of_different_lengths(self, tmp_path, capsys):
         emb = tmp_path / "emb.jsonl"
@@ -1061,6 +1104,120 @@ def test_non_utf8_input_exits_2_naming_file(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path in err
     assert not out.exists()
+
+
+def _predict_reading(key, long_csv=False):
+    """A runner for the ``predict`` input that config key ``data.<key>``
+    names: it writes a text as that file, next to good other inputs (a long
+    CSV cohort and its labels, or a JSONL cohort), and returns (argv, the
+    file's path)."""
+    def run(tmp_path, text):
+        config_path, config = write_run_config(tmp_path)
+        if long_csv:
+            config["data"].update(cohort=str(tmp_path / "cohort.csv"),
+                                  labels=str(tmp_path / "labels.csv"))
+            (tmp_path / "cohort.csv").write_text(
+                "patient_id,visit_time,feature_id,value\np1,1,hr,80\n")
+            (tmp_path / "labels.csv").write_text(
+                "patient_id,task,label\np1,mortality,1\n")
+        path = config["data"][key]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        config_path.write_text(json.dumps(config))
+        return ["predict", "--config", str(config_path)], path
+    return run
+
+
+def _eval_reading(argv, flag, name):
+    """A runner for the eval-command input that ``flag`` names."""
+    def run(tmp_path, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return [*argv, flag, str(path),
+                "--output-dir", str(tmp_path / "out")], str(path)
+    return run
+
+
+def _order_lines(*codes):
+    return "".join(f"{i:<5} {code:<7} 0 {'short':<60} long\n"
+                   for i, code in enumerate(codes, start=1))
+
+
+_CATALOG = "feature_id,display_name,unit,reference_range,kind\n"
+_RECORD = json.dumps({"patient_id": "p1", "sex": "male", "age": 60,
+                      "visit_times": [0], "features": {"hr": [80.0]},
+                      "label": 1}) + "\n"
+# input kind -> runner that reads a text as that file
+INPUT_KINDS = {
+    "catalog": _predict_reading("catalog"),
+    "labels": _predict_reading("labels", long_csv=True),
+    "long_csv": _predict_reading("cohort", long_csv=True),
+    "jsonl": _predict_reading("cohort"),
+    "embeddings": _eval_reading(
+        ["eval-icd", "--order-file",
+         os.path.join(FIXTURES, "sibling_codes.order"), "--ks", "2"],
+        "--embeddings-file", "emb.jsonl"),
+    "pairs": _eval_reading(["eval-sentences", "--model", "hash-embed-8"],
+                           "--pairs", "pairs.tsv"),
+    "order": _eval_reading(
+        ["eval-icd", "--model", "hash-embed-8", "--ks", "2"],
+        "--order-file", "codes.order"),
+}
+# (input kind, file text, the line the error names, its message)
+BAD_INPUT_LINES = {
+    "catalog": ("catalog", _CATALOG + "hr,Heart Rate,,,numeric\n"
+                "rr,Resp Rate,,,ordinal\n", 3, "feature rr: kind 'ordinal'"),
+    "catalog_two_line_cell": (
+        "catalog", _CATALOG + 'hr,"Heart\nRate",,,numeric\n'
+        "rr,Resp Rate,,,numeric,x\n", 4, "expected 5 cells, got 6"),
+    "labels": ("labels", "patient_id,task,label\np1,mortality,yes\n", 2,
+               "record p1: label 'yes' not in {0,1}"),
+    "long_csv": ("long_csv", "patient_id,visit_time,feature_id,value\n"
+                 "p1,1,hr,80\np1,soon,hr,81\n", 3,
+                 "unparseable visit_time 'soon'"),
+    "jsonl": ("jsonl", _RECORD + "[1, 2]\n", 2, "expected a JSON object"),
+    "embeddings": ("embeddings", '{"code": "A000", "embedding": [1.0]}\n\n'
+                   '{"code": "A001"}\n', 3,
+                   'expected a string "code" and an "embedding"'),
+    "pairs": ("pairs", "a\tb\t1.0\nc\td\n", 2,
+              "expected 3 tab-separated fields, got 2"),
+    "order": ("order", _order_lines("A000", "9XX"), 2, "bad code '9XX'"),
+    # every keyed file: a repeated key names both lines
+    "catalog_repeat": ("catalog", _CATALOG + "hr,Heart Rate,,,numeric\n"
+                       "hr,Heart Rate,,,numeric\n", 3,
+                       "feature_id 'hr' repeats line 2"),
+    "labels_repeat": ("labels", "patient_id,task,label\np1,mortality,1\n"
+                      "p1,mortality,0\n", 3,
+                      "patient p1: task mortality repeats line 2"),
+    "long_csv_repeat": ("long_csv", "patient_id,visit_time,feature_id,value\n"
+                        "p1,1,hr,80\np1,1,hr,81\n", 3,
+                        "patient p1: feature hr at visit_time '1' repeats "
+                        "line 2"),
+    "jsonl_repeat": ("jsonl", _RECORD * 2, 2, "patient_id 'p1' repeats line 1"),
+    "embeddings_repeat": ("embeddings", "".join(
+        json.dumps({"code": code, "embedding": [1.0]}) + "\n"
+        for code in ("A000", "A001", "B000", "A001")), 4,
+        "code 'A001' repeats line 2"),
+    "order_repeat": ("order", _order_lines("A000", "A001", "B000", "A001"), 4,
+                     "code 'A001' repeats line 2"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUT_LINES)
+def test_bad_input_line_names_file_and_line(tmp_path, capsys, name):
+    kind, text, line, message = BAD_INPUT_LINES[name]
+    argv, path = INPUT_KINDS[kind](tmp_path, text)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}, line {line}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_catalog_names_the_file_alone(tmp_path, capsys):
+    argv, path = INPUT_KINDS["catalog"](tmp_path, "")
+    assert main(argv) == 2
+    header = _CATALOG.strip().split(",")
+    assert capsys.readouterr().err == \
+        f"error: {path}: catalog header None != {header}\n"
 
 
 def test_stub_benchmark_script(tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -172,14 +173,16 @@ class TestCohortLoading:
             load_cohort(cohort, load_catalog(cat), "mortality",
                         labels_path=labels)
 
+        where = re.escape(str(target))
         target.write_text(header.replace(",", ";") + "\n")
-        with pytest.raises(errors.SchemaMismatch, match=f"^{which} header"):
+        with pytest.raises(errors.SchemaMismatch,
+                           match=f"^{where}, line 1: {which} header"):
             load()
         n_cells = header.count(",") + 1
         target.write_text(f"{header}\n\n{'x,' * n_cells}x\n")
         with pytest.raises(errors.ParseError,
-                           match=f"^line 3: expected {n_cells} cells, "
-                                 f"got {n_cells + 1}$"):
+                           match=f"^{where}, line 3: expected {n_cells} "
+                                 f"cells, got {n_cells + 1}$"):
             load()
 
     def test_csv_error_names_the_line_a_row_ends_on(self, tmp_path):
@@ -189,7 +192,8 @@ class TestCohortLoading:
                        'hr,"Heart\nRate",,,numeric\n'
                        "rr,Resp Rate,,,numeric,x\n")
         with pytest.raises(errors.ParseError,
-                           match="^line 4: expected 5 cells, got 6$"):
+                           match=f"^{re.escape(str(cat))}, line 4: expected 5 "
+                                 "cells, got 6$"):
             load_catalog(cat)
 
     def test_unknown_feature_rejected(self, tmp_path):
@@ -207,7 +211,7 @@ class TestCohortLoading:
         path.write_text("\n[1, 2]\n")
         with pytest.raises(errors.ParseError) as err:
             load_cohort(path, vitals_catalog, "mortality")
-        assert err.value.line == 2
+        assert str(err.value).startswith(f"{path}, line 2: ")
 
     def test_jsonl_labels_object_picks_task(self, tmp_path, vitals_catalog):
         path = tmp_path / "cohort.jsonl"
@@ -231,14 +235,15 @@ class TestCohortLoading:
     @pytest.mark.parametrize("line, error, message", [
         ('{"patient_id": "p1", "sex": "male", "features": {}}',
          errors.SchemaMismatch,
-         r"^line 2: missing fields \['age', 'visit_times'\]$"),
-        ('{"patient_id": "p1",', errors.ParseError, "^line 2: "),
+         r", line 2: missing fields \['age', 'visit_times'\]$"),
+        ('{"patient_id": "p1",', errors.ParseError, ", line 2: "),
     ], ids=["missing_fields", "not_json"])
     def test_jsonl_bad_line(self, tmp_path, vitals_catalog, line, error,
                             message):
         path = tmp_path / "cohort.jsonl"
         path.write_text("\n" + line + "\n")
-        with pytest.raises(error, match=message):
+        with pytest.raises(error,
+                           match="^" + re.escape(str(path)) + message):
             load_cohort(path, vitals_catalog, "mortality")
 
 
@@ -272,21 +277,23 @@ class TestLongCsv:
 
     @pytest.mark.parametrize("rows, labels, error, message", [
         ("p1,soon,hr,1\n", "p1,mortality,1\n", errors.ParseError,
-         "^line 2: unparseable visit_time 'soon'$"),
+         r"cohort\.csv, line 2: unparseable visit_time 'soon'$"),
         ("p1,0,hr,1\n", "p1,mortality,yes\n", errors.InvariantViolation,
-         "^labels line 2: label 'yes' not in"),
+         r"labels\.csv, line 2: record p1: label 'yes' not in"),
         ("p1,1,hr,80\np1,2,hr,82\np1,1.0,hr,81\n", "p1,mortality,1\n",
          errors.ParseError,
-         "^line 4: patient p1: feature hr at visit_time '1.0' repeats line 2$"),
+         r"cohort\.csv, line 4: patient p1: feature hr at visit_time '1\.0' "
+         "repeats line 2$"),
         ("p1,0,hr,1\n", "p1,mortality,1\np1,readmission,0\np1,mortality,0\n",
-         errors.InvariantViolation,
-         "^labels line 4: patient p1: task mortality repeats line 2$"),
+         errors.ParseError,
+         r"labels\.csv, line 4: patient p1: task mortality repeats line 2$"),
         ("p1,2020-W05-5,hr,1\n", "p1,mortality,1\n", errors.ParseError,
-         "^line 2: unparseable visit_time '2020-W05-5'$"),
+         r"cohort\.csv, line 2: unparseable visit_time '2020-W05-5'$"),
     ], ids=["visit_time", "label", "repeated_cell", "repeated_label",
             "iso_week_date"])
     def test_bad_cell(self, tmp_path, rows, labels, error, message):
-        with pytest.raises(error, match=message):
+        with pytest.raises(error,
+                           match="^" + re.escape(f"{tmp_path}/") + message):
             load_long_csv(tmp_path, rows, labels)
 
     def test_rows_at_one_parsed_time_merge_into_one_visit(self, tmp_path):
