@@ -34,10 +34,8 @@ import numpy as np
 from . import gateway
 from .errors import (
     EhrBenchError,
-    EmptyInput,
     InvariantViolation,
     ParseError,
-    UnknownSample,
     jsonl_objects,
     open_text,
 )
@@ -374,8 +372,8 @@ def cmd_prompt_preview(args):
     plan = RunPlan(args.config)
     record = plan.cohort.get(args.sample_id)
     if record is None:
-        raise UnknownSample(f"sample {args.sample_id!r} is not in cohort "
-                            f"{plan.config.data.cohort}")
+        raise InvariantViolation(f"sample {args.sample_id!r} is not in "
+                                 f"cohort {plan.config.data.cohort}")
     print(plan.render(record).text)
     return 0
 
@@ -428,7 +426,7 @@ def _embeddings(args, keys, texts, key, n_summed):
     ``key`` field holds it, or else the endpoint's embedding of its text.
     ``n_summed`` is the most terms one sum of squares adds downstream."""
     if not keys:
-        raise EmptyInput(f"no {key}s to embed")
+        raise InvariantViolation(f"no {key}s to embed")
     if args.embeddings_file:
         table = _load_embedding_file(args.embeddings_file, key=key)
         missing = [k for k in keys if k not in table]

@@ -15,10 +15,8 @@ from datetime import date
 import numpy as np
 
 from .errors import (
-    DegenerateClass,
     InvariantViolation,
     ParseError,
-    SchemaMismatch,
     as_float,
     jsonl_objects,
     open_text,
@@ -200,7 +198,7 @@ def _csv_rows(lines, header, what):
     reader = csv.reader(lines)
     found = next(reader, None)
     if found != header:
-        raise SchemaMismatch(f"{what} header {found} != {header}")
+        raise ParseError(f"{what} header {found} != {header}")
     for row in reader:
         if not row:
             continue
@@ -297,28 +295,30 @@ def _load_long_csv(path, catalog, task, labels_path):
                                       f"visit_time {vt.strip()!r}")
             visits = per_patient.setdefault(pid, {})
             visits.setdefault(t, {})[fid] = cell
-    records = []
-    for pid, visits in per_patient.items():
-        key = dict(zip(visits, _time_keys(pid, visits)))
-        times = sorted(visits, key=key.get)
-        fids = []
-        for t in times:
-            for fid in visits[t]:
-                if fid not in fids:
-                    fids.append(fid)
-        features = {
-            fid: [visits[t].get(fid) for t in times] for fid in fids
-        }
-        records.append(
-            PatientRecord(
-                patient_id=pid,
-                sex="unknown",
-                age=None,
-                visit_times=tuple(times),
-                features=features,
-                label=labels.get(pid),
+        # a record's rows may be on any lines: its errors name the file
+        lines.read_whole()
+        records = []
+        for pid, visits in per_patient.items():
+            key = dict(zip(visits, _time_keys(pid, visits)))
+            times = sorted(visits, key=key.get)
+            fids = []
+            for t in times:
+                for fid in visits[t]:
+                    if fid not in fids:
+                        fids.append(fid)
+            features = {
+                fid: [visits[t].get(fid) for t in times] for fid in fids
+            }
+            records.append(
+                PatientRecord(
+                    patient_id=pid,
+                    sex="unknown",
+                    age=None,
+                    visit_times=tuple(times),
+                    features=features,
+                    label=labels.get(pid),
+                )
             )
-        )
     return records
 
 
@@ -361,7 +361,7 @@ def _load_jsonl(path, catalog, task):
         for obj in jsonl_objects(lines):
             missing = required - obj.keys()
             if missing:
-                raise SchemaMismatch(f"missing fields {sorted(missing)}")
+                raise ParseError(f"missing fields {sorted(missing)}")
             problem = _record_json_error(obj, kinds)
             if problem:
                 raise ParseError(problem)
@@ -434,13 +434,13 @@ def split_cohort(cohort, spec):
             )
         by_class.setdefault(rec.label, []).append(idx)
     if len(by_class) < 2:
-        raise DegenerateClass(f"only classes {sorted(by_class)} present")
+        raise InvariantViolation(f"only classes {sorted(by_class)} present")
     rng = np.random.default_rng(spec.seed)
     parts = ([], [], [])
     for cls in sorted(by_class):
         idxs = by_class[cls]
         if len(idxs) < n_nonzero:
-            raise DegenerateClass(
+            raise InvariantViolation(
                 f"class {cls} has {len(idxs)} records for {n_nonzero} splits"
             )
         shuffled = [idxs[i] for i in rng.permutation(len(idxs))]

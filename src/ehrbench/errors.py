@@ -1,6 +1,14 @@
 """Exception hierarchy shared across the harness, the one reader of input
 files, which places every error it sees at a file and line, and the float
-conversion behind its finite-number checks."""
+conversion behind its finite-number checks.
+
+There is one class per way the program reacts. A class is kept only if
+code catches it by name, if README's endpoint table names its failure
+kind, or if it is one of the two kinds that every loader and validator
+raises: ``ParseError`` (a file's text) and ``InvariantViolation`` (a value
+that breaks a rule). No output names a class: the CLI prints
+``error: <message>``, and a transcript or report holds the message alone.
+"""
 
 import contextlib
 import json
@@ -8,22 +16,45 @@ import math
 
 
 class EhrBenchError(Exception):
-    """Base class for all harness errors."""
-
-
-# --- data loading / validation ---
-
-class SchemaMismatch(EhrBenchError):
-    """Input file columns do not match the declared schema."""
+    """Base class: ``cli.main`` and ``open_text`` catch it."""
 
 
 class ParseError(EhrBenchError):
-    pass
+    """A file's text is not in its format: every loader raises it."""
+
+
+class InvariantViolation(EhrBenchError):
+    """A value breaks a rule (which record, which rule): every validator
+    raises it, and ``cli._section`` catches it to name the config section."""
+
+
+class GatewayError(EhrBenchError):
+    """An endpoint request failed: README's endpoint table names the kind."""
+
+
+class EndpointUnreachable(GatewayError):
+    """No usable connection, a timeout or a 5xx: a retried table row."""
+
+
+class AuthFailure(GatewayError):
+    """A 401 or 403: the table's unretried auth row."""
+
+
+class RateLimited(GatewayError):
+    """A 429: the table's retried rate-limit row."""
+
+
+class SingleClass(EhrBenchError):
+    """Only one label class is present: the bootstrap redraws on it."""
+
+
+class NoPositives(EhrBenchError):
+    """No positive label is present: the bootstrap redraws on it."""
 
 
 class Lines:
     """The lines of one open text file, counted as they are read: ``number``
-    is the last line read (0 before the first)."""
+    is the last line read (0 before the first, and after ``read_whole``)."""
 
     def __init__(self, fh):
         self._fh = fh
@@ -33,6 +64,11 @@ class Lines:
     def __iter__(self):
         for self.number, line in enumerate(self._fh, start=1):
             yield line
+
+    def read_whole(self):
+        """Mark the file read to its end: an error raised after this names
+        the file alone, as no one line holds it."""
+        self.number = 0
 
     def once(self, key, shown):
         """Reject a ``key`` an earlier line had; ``shown`` names it."""
@@ -83,73 +119,3 @@ def as_float(value):
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
-
-
-class InvariantViolation(EhrBenchError):
-    """A record violates a structural invariant (which record, which rule)."""
-
-
-class DegenerateClass(EhrBenchError):
-    """A label class has fewer members than the number of requested splits."""
-
-
-class MissingGroupStats(EhrBenchError):
-    """In-context example synthesis lacks statistics for an outcome group."""
-
-
-class UnknownSample(EhrBenchError):
-    """Requested sample_id is not in the cohort."""
-
-
-# --- gateway ---
-
-class GatewayError(EhrBenchError):
-    pass
-
-
-class EndpointUnreachable(GatewayError):
-    pass
-
-
-class AuthFailure(GatewayError):
-    pass
-
-
-class RateLimited(GatewayError):
-    pass
-
-
-class EmptyInput(EhrBenchError):
-    pass
-
-
-# --- metrics ---
-
-class SingleClass(EhrBenchError):
-    """Both label classes are required but only one is present."""
-
-
-class NoPositives(EhrBenchError):
-    pass
-
-
-class ConstantInput(EhrBenchError):
-    pass
-
-
-class ZeroVector(EhrBenchError):
-    pass
-
-
-class OutOfRange(EhrBenchError):
-    pass
-
-
-# --- ICD hierarchy ---
-
-class UnknownCode(EhrBenchError):
-    pass
-
-
-class TooFewItems(EhrBenchError):
-    pass

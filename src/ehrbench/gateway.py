@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     AuthFailure,
-    EmptyInput,
     EndpointUnreachable,
     GatewayError,
     InvariantViolation,
@@ -45,6 +44,9 @@ STUB_BASE_URL = "stub"
 EMBED_CHUNK = 32
 # the longest wait before a retry, in seconds: a Retry-After or a jitter draw
 RETRY_WAIT_CAP = 60.0
+# the longest endpoint.timeout, in seconds: a day, well inside what
+# socket.settimeout takes (1e12 s overflows the platform's time_t)
+MAX_TIMEOUT = 86400.0
 # bytes of hash words the stub embedder holds at once, besides its result
 _STUB_BLOCK_BYTES = 1 << 18
 
@@ -75,8 +77,9 @@ class EndpointConfig:
                            ("backoff_base", 0)):
             if not getattr(self, key) >= least:
                 raise InvariantViolation(f"endpoint.{key} must be >= {least}")
-        if not self.timeout > 0:
-            raise InvariantViolation("endpoint.timeout must be > 0")
+        if not 0 < self.timeout <= MAX_TIMEOUT:
+            raise InvariantViolation(
+                f"endpoint.timeout must be in (0, {MAX_TIMEOUT:g}]")
         if not self.is_stub:
             try:
                 url = urlsplit(self.base_url)
@@ -409,7 +412,7 @@ def embed(texts, cfg):
     """Embed texts; one row per input, row order = input order. A response
     whose vectors fail ``embedding_row`` raises ``GatewayError``."""
     if not texts:
-        raise EmptyInput("no texts to embed")
+        raise InvariantViolation("no texts to embed")
     if cfg.is_stub:
         dim = cfg.model_name.removeprefix("hash-embed-")
         if dim == cfg.model_name or not dim.isdecimal() or int(dim) < 1:
@@ -482,7 +485,7 @@ def missing_rate(outcomes, count_unknown_as_missing=False):
     decoded; flip count_unknown_as_missing to treat them as missing.
     """
     if not outcomes:
-        raise EmptyInput("no outcomes")
+        raise InvariantViolation("no outcomes")
     decoded_statuses = {"decoded"}
     if not count_unknown_as_missing:
         decoded_statuses.add("fallback_unknown")

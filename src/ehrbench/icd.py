@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvariantViolation,
-    ParseError,
-    TooFewItems,
-    UnknownCode,
-    open_text,
-)
+from .errors import InvariantViolation, ParseError, open_text
 
 CODE_PATTERN = re.compile(r"[A-Z][0-9A-Z]{2,6}$")
 
@@ -96,7 +90,7 @@ class IcdTree:
 
     def parent(self, code):
         if code not in self._parent:
-            raise UnknownCode(code)
+            raise InvariantViolation(f"code {code!r} is not in the tree")
         return self._parent[code]
 
     def ancestors(self, code):
@@ -329,7 +323,7 @@ def _kmeans_runs(embeddings, ks, seeds):
     n = len(points)
     for k in ks:
         if k < 1 or n < k:
-            raise TooFewItems(f"{n} items for k={k}")
+            raise InvariantViolation(f"{n} items for k={k}")
     sq = (points ** 2).sum(axis=1)
     starts = _kmeans_pp_init(points, sq, ks,
                              [np.random.default_rng(s) for s in seeds])

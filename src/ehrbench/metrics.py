@@ -28,15 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstantInput,
-    EmptyInput,
-    InvariantViolation,
-    NoPositives,
-    OutOfRange,
-    SingleClass,
-    ZeroVector,
-)
+from .errors import InvariantViolation, NoPositives, SingleClass
 
 
 @dataclass(frozen=True)
@@ -192,7 +184,7 @@ def bootstrap_pass(samples, names, n=10, seed=0):
     ``std`` is the population standard deviation of the resample values.
     """
     if not samples:
-        raise EmptyInput("no samples")
+        raise InvariantViolation("no samples")
     m = len(samples)
     bins, n_groups = _sample_bins(samples)
     values = {name: np.empty(n) for name in names}
@@ -249,7 +241,7 @@ def pearson(xs, ys):
     dy = ys - ys.mean()
     denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
     if denom == 0.0:
-        raise ConstantInput("pearson undefined for constant input")
+        raise InvariantViolation("pearson undefined for constant input")
     return float(dx @ dy) / denom
 
 
@@ -271,7 +263,7 @@ def kendall(xs, ys):
     n1, n2, n3 = _tied_pairs(cx), _tied_pairs(cy), _tied_pairs(cxy)
     denom = math.sqrt((n0 - n1) * (n0 - n2))
     if denom == 0.0:
-        raise ConstantInput("kendall undefined for constant input")
+        raise InvariantViolation("kendall undefined for constant input")
     # sorted by (x, y), the pairs with y out of order are the discordant ones
     swaps = _merge_sort_swaps((np.sort(joint) % len(cy)).tolist())
     return (n0 - n1 - n2 + n3 - 2 * swaps) / denom
@@ -319,8 +311,8 @@ def similarities(a, b, measure):
         na, nb = np.sqrt(_row_dots(a, a)), np.sqrt(_row_dots(b, b))
         zero = np.flatnonzero((na == 0.0) | (nb == 0.0))
         if zero.size:
-            raise ZeroVector(f"pair {zero[0] + 1}: cosine undefined for a "
-                             "zero vector")
+            raise InvariantViolation(f"pair {zero[0] + 1}: cosine undefined "
+                                     "for a zero vector")
         return _row_dots(a, b) / (na * nb)
     if measure == "l1":
         return np.abs(a - b).sum(axis=1)
@@ -333,7 +325,7 @@ def similarities(a, b, measure):
 def pearson_distance(r):
     """sqrt(1 - r) transform of a correlation r in [-1, 1]."""
     if not -1.0 <= r <= 1.0:
-        raise OutOfRange(f"correlation {r} outside [-1, 1]")
+        raise InvariantViolation(f"correlation {r} outside [-1, 1]")
     return math.sqrt(1.0 - r)
 
 

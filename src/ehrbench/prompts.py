@@ -16,7 +16,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from .ehr import TASKS, locf_series
-from .errors import InvariantViolation, MissingGroupStats
+from .errors import InvariantViolation
 
 ROLE_SENTENCE = (
     "You are an experienced doctor in Intensive Care Unit (ICU) treatment."
@@ -264,7 +264,8 @@ def synthesize_icl_examples(spec, k, catalog):
     for i in range(k):
         group = i % 2
         if group not in spec.group_stats:
-            raise MissingGroupStats(f"no statistics for outcome group {group}")
+            raise InvariantViolation(
+                f"no statistics for outcome group {group}")
         stats = spec.group_stats[group]
         sex = "male" if rng.integers(0, 2) == 0 else "female"
         age = round(float(rng.uniform(40, 90)), 1)
@@ -349,7 +350,7 @@ def build_prompt(record, catalog, config, icl_spec=None, icl_examples=None):
     if config.n_icl_examples > 0:
         if icl_examples is None:
             if icl_spec is None:
-                raise MissingGroupStats(
+                raise InvariantViolation(
                     "n_icl_examples > 0 but no example spec given")
             icl_examples = synthesize_icl_examples(
                 icl_spec, config.n_icl_examples, catalog)

@@ -280,6 +280,9 @@ BAD_CONFIGS = [
      lambda c: _closed_port(c, "prompt", n_icl_examples=10**400)),
     ("config prompt: n_icl_examples must be in [0, 100]",
      lambda c: _closed_port(c, "prompt", n_icl_examples=101)),
+    # finite, but socket.settimeout overflows the platform's time_t on it
+    ("config endpoint: endpoint.timeout must be in (0, 86400]",
+     lambda c: _closed_port(c, "endpoint", timeout=1e12)),
 ]
 
 
@@ -416,7 +419,9 @@ def test_long_csv_patient_mixing_dates_and_numbers_exits_2(tmp_path, capsys):
     config_path.write_text(json.dumps(config))
     assert main(["predict", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: record p1: visit_times mix ISO dates and numbers\n"
+    # a record's rows may be on any lines, so its error names the file alone
+    assert err == (f"error: {cohort}: record p1: visit_times mix ISO dates "
+                   "and numbers\n")
 
 
 @pytest.mark.parametrize("visit_time", [
@@ -433,7 +438,7 @@ def test_long_csv_non_finite_visit_time_exits_2(tmp_path, capsys, visit_time):
     config_path.write_text(json.dumps(config))
     assert main(["predict", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: record p1: visit_times must be finite\n"
+    assert err == f"error: {cohort}: record p1: visit_times must be finite\n"
 
 
 def test_long_csv_feature_not_in_catalog_exits_2(tmp_path, capsys):
@@ -461,8 +466,8 @@ def test_long_csv_non_finite_value_exits_2(tmp_path, capsys, value):
     config_path.write_text(json.dumps(config))
     assert main(["predict", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
-    assert err == (f"error: record p1: feature hr value {float(value)} "
-                   "is not finite\n")
+    assert err == (f"error: {cohort}: record p1: feature hr value "
+                   f"{float(value)} is not finite\n")
 
 
 def test_icl_examples_shared_by_ordinal_and_hour_records(tmp_path, capsys,
@@ -1170,6 +1175,10 @@ BAD_INPUT_LINES = {
     "catalog_two_line_cell": (
         "catalog", _CATALOG + 'hr,"Heart\nRate",,,numeric\n'
         "rr,Resp Rate,,,numeric,x\n", 4, "expected 5 cells, got 6"),
+    # the reader stops at the end of the file inside the quoted cell
+    "catalog_unterminated_cell": (
+        "catalog", _CATALOG + 'hr,"Heart Rate,,,numeric\n', 2,
+        "expected 5 cells, got 2"),
     "labels": ("labels", "patient_id,task,label\np1,mortality,yes\n", 2,
                "record p1: label 'yes' not in {0,1}"),
     "long_csv": ("long_csv", "patient_id,visit_time,feature_id,value\n"
@@ -1209,6 +1218,13 @@ def test_bad_input_line_names_file_and_line(tmp_path, capsys, name):
     argv, path = INPUT_KINDS[kind](tmp_path, text)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {path}, line {line}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_pairs_file_exits_2(tmp_path, capsys):
+    argv, _ = INPUT_KINDS["pairs"](tmp_path, "")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: no texts to embed\n"
     assert not (tmp_path / "out").exists()
 
 

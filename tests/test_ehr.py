@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ehrbench import errors
 from ehrbench.ehr import (
+    Cohort,
     FeatureCatalog,
     PatientRecord,
     SplitSpec,
@@ -102,7 +103,9 @@ class TestCatalog:
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "cat.csv"
         path.write_text("feature,name\nx,y\n")
-        with pytest.raises(errors.SchemaMismatch):
+        with pytest.raises(errors.ParseError,
+                           match=f"^{re.escape(str(path))}, line 1: catalog "
+                                 r"header \['feature', 'name'\] != "):
             load_catalog(path)
 
     def test_preserves_file_order(self, lab_catalog):
@@ -175,7 +178,7 @@ class TestCohortLoading:
 
         where = re.escape(str(target))
         target.write_text(header.replace(",", ";") + "\n")
-        with pytest.raises(errors.SchemaMismatch,
+        with pytest.raises(errors.ParseError,
                            match=f"^{where}, line 1: {which} header"):
             load()
         n_cells = header.count(",") + 1
@@ -234,7 +237,7 @@ class TestCohortLoading:
 
     @pytest.mark.parametrize("line, error, message", [
         ('{"patient_id": "p1", "sex": "male", "features": {}}',
-         errors.SchemaMismatch,
+         errors.ParseError,
          r", line 2: missing fields \['age', 'visit_times'\]$"),
         ('{"patient_id": "p1",', errors.ParseError, ", line 2: "),
     ], ids=["missing_fields", "not_json"])
@@ -377,8 +380,18 @@ class TestSplit:
         assert lookups == []
 
     def test_single_class_rejected(self, vitals_cohort):
-        with pytest.raises(errors.DegenerateClass):
+        with pytest.raises(errors.InvariantViolation,
+                           match=r"^only classes \[0\] present$"):
             split_cohort(vitals_cohort, SplitSpec(0.5, 0.0, 0.5, seed=1))
+
+    def test_class_smaller_than_the_splits_rejected(self):
+        records = synthetic_cohort(n_patients=20, seed=3).records
+        negatives = [r for r in records if r.label == 0]
+        positive = next(r for r in records if r.label == 1)
+        cohort = Cohort(records=(*negatives, positive), catalog=None)
+        with pytest.raises(errors.InvariantViolation,
+                           match="^class 1 has 1 records for 3 splits$"):
+            split_cohort(cohort, SplitSpec(0.6, 0.2, 0.2, seed=0))
 
     def test_fractions_validated(self):
         with pytest.raises(errors.InvariantViolation):

@@ -102,7 +102,7 @@ class TestMissingRate:
         assert strict.n_decoded == 1
 
     def test_empty_rejected(self):
-        with pytest.raises(errors.EmptyInput):
+        with pytest.raises(errors.InvariantViolation, match="^no outcomes$"):
             missing_rate([])
 
     def test_invariants(self):
@@ -184,7 +184,8 @@ class TestStubs:
         assert np.all(np.abs(vecs) <= 1.0)
 
     def test_embed_empty_rejected(self):
-        with pytest.raises(errors.EmptyInput):
+        with pytest.raises(errors.InvariantViolation,
+                           match="^no texts to embed$"):
             embed([], EndpointConfig(model_name="hash-embed-8"))
 
     def test_embed_requires_embedding_stub(self):

@@ -152,8 +152,14 @@ class TestDistance:
         assert icd_distance(sibling_tree, "A000", "A000") == 0
 
     def test_unknown_code(self, sibling_tree):
-        with pytest.raises(errors.UnknownCode):
+        with pytest.raises(errors.InvariantViolation,
+                           match="^code 'Z999' is not in the tree$"):
             icd_distance(sibling_tree, "A000", "Z999")
+
+    def test_parent_of_unknown_code(self, sibling_tree):
+        with pytest.raises(errors.InvariantViolation,
+                           match="^code 'A0' is not in the tree$"):
+            sibling_tree.parent("A0")
 
     def test_matches_bfs_oracle_on_random_trees(self, rng):
         for _ in range(10):
@@ -196,7 +202,8 @@ class TestKmeans:
         assert sorted(set(assignment.labels)) == list(range(5))
 
     def test_too_few_items(self):
-        with pytest.raises(errors.TooFewItems):
+        with pytest.raises(errors.InvariantViolation,
+                           match="^2 items for k=3$"):
             kmeans([[0.0], [1.0]], k=3, seed=0)
 
     def test_overflowing_squared_distances_raise(self):
@@ -566,7 +573,8 @@ class TestSweepSeeding:
         parent = random_parent_map(rng, 4)
         codes = [node for node in parent if node != ROOT]
         points = [[float(i)] for i in range(4)]
-        with pytest.raises(errors.TooFewItems, match="^4 items for k=5$"):
+        with pytest.raises(errors.InvariantViolation,
+                           match="^4 items for k=5$"):
             hierarchy_benchmark(IcdTree(parent), codes, points, ks=(2, 5, 6))
 
 

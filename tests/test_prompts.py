@@ -224,7 +224,9 @@ class TestBuildPrompt:
         assert a.text == b.text
 
     def test_icl_requires_spec(self, lab_record, lab_catalog):
-        with pytest.raises(errors.MissingGroupStats):
+        with pytest.raises(errors.InvariantViolation,
+                           match="^n_icl_examples > 0 but no example spec "
+                                 "given$"):
             build_prompt(lab_record, lab_catalog,
                          PromptConfig(n_icl_examples=1))
 
@@ -264,7 +266,8 @@ class TestIclExamples:
 
     def test_missing_group_raises(self):
         spec = IclExampleSpec(group_stats={0: {"hr": (80.0, 1.0)}}, seed=1)
-        with pytest.raises(errors.MissingGroupStats):
+        with pytest.raises(errors.InvariantViolation,
+                           match="^no statistics for outcome group 1$"):
             synthesize_icl_examples(spec, 2, self.catalog)
 
     def test_negative_variance_rejected(self):
