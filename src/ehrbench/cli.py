@@ -396,6 +396,9 @@ def _load_sentence_pairs(path):
             if not 0.0 <= gold <= 4.0:
                 raise ParseError(f"gold score {gold} outside [0, 4]")
             pairs.append((cells[0], cells[1], gold))
+        if not pairs:
+            lines.read_whole()
+            raise ParseError("no sentence pairs")
     return pairs
 
 
@@ -425,8 +428,6 @@ def _embeddings(args, keys, texts, key, n_summed):
     """(n, d) floats, one row per key: the ``--embeddings-file`` line whose
     ``key`` field holds it, or else the endpoint's embedding of its text.
     ``n_summed`` is the most terms one sum of squares adds downstream."""
-    if not keys:
-        raise InvariantViolation(f"no {key}s to embed")
     if args.embeddings_file:
         table = _load_embedding_file(args.embeddings_file, key=key)
         missing = [k for k in keys if k not in table]

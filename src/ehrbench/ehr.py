@@ -124,32 +124,14 @@ class FeatureCatalogEntry:
             )
 
 
-class FeatureCatalog:
-    """Ordered per-feature metadata; iteration preserves file order."""
-
-    def __init__(self, entries):
-        self._entries = {e.feature_id: e for e in entries}
-
-    def __iter__(self):
-        return iter(self._entries.values())
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, feature_id):
-        return feature_id in self._entries
-
-    def __getitem__(self, feature_id):
-        return self._entries[feature_id]
-
-
 @dataclass(frozen=True)
 class Cohort:
     """Records with distinct patient ids, every feature in ``catalog``:
-    ``load_cohort`` checks both as it reads the file."""
+    ``load_cohort`` checks both as it reads the file. ``catalog`` maps each
+    ``feature_id`` to its ``FeatureCatalogEntry``, in file order."""
 
     records: tuple
-    catalog: FeatureCatalog
+    catalog: dict
 
     def __len__(self):
         return len(self.records)
@@ -208,24 +190,25 @@ def _csv_rows(lines, header, what):
 
 
 def load_catalog(path):
-    """Read a feature catalog CSV; no two rows may share a feature_id.
+    """Read a feature catalog CSV as ``{feature_id: FeatureCatalogEntry}``
+    in file order; no two rows may share a feature_id.
 
     Empty unit/range cells mean absent; a literal "/" is an explicit none and
     is rendered verbatim downstream.
     """
-    entries = []
+    catalog = {}
     with open_text(path, newline="") as lines:
         for fid, name, unit, rng, kind in _csv_rows(lines, CATALOG_HEADER,
                                                     "catalog"):
             lines.once(fid, f"feature_id {fid!r}")
-            entries.append(FeatureCatalogEntry(
+            catalog[fid] = FeatureCatalogEntry(
                 feature_id=fid,
                 display_name=name,
                 unit=unit if unit != "" else None,
                 reference_range=rng if rng != "" else None,
                 kind=kind,
-            ))
-    return FeatureCatalog(entries)
+            )
+    return catalog
 
 
 def _parse_visit_time(token):
@@ -325,12 +308,16 @@ def _load_long_csv(path, catalog, task, labels_path):
 # the JSON types a value may have; a bool is not a number here
 _JSON_NUMBER = frozenset((int, float))
 _JSON_NUMERIC_CELL = _JSON_NUMBER | {type(None)}
+# a feature kind's cell types, and how an error names them
+_JSON_CELLS = {
+    "numeric": (_JSON_NUMERIC_CELL, "numbers or null"),
+    "categorical": (_JSON_NUMERIC_CELL | {str}, "strings, numbers or null"),
+}
 
 
-def _record_json_error(obj, kinds):
+def _record_json_error(obj, catalog):
     """Why a JSONL cohort object does not hold one record's fields with the
-    JSON types they need, or None. ``kinds``: the catalog's feature ids and
-    their kinds."""
+    JSON types they need, or None."""
     if type(obj["age"]) not in _JSON_NUMBER:
         return '"age" must be a number'
     times = obj["visit_times"]
@@ -343,18 +330,18 @@ def _record_json_error(obj, kinds):
     if not isinstance(obj["features"], dict):
         return '"features" must be an object'
     for fid, series in obj["features"].items():
-        if fid not in kinds:
+        if fid not in catalog:
             return f"feature {fid} not in catalog"
         if type(series) is not list:
             return f"feature {fid} must be a list"
-        if kinds[fid] == "numeric" and not _JSON_NUMERIC_CELL.issuperset(
-                map(type, series)):
-            return f"numeric feature {fid} must hold numbers or null"
+        kind = catalog[fid].kind
+        cells, shown = _JSON_CELLS[kind]
+        if not cells.issuperset(map(type, series)):
+            return f"{kind} feature {fid} must hold {shown}"
     return None
 
 
 def _load_jsonl(path, catalog, task):
-    kinds = {e.feature_id: e.kind for e in catalog}
     required = {"patient_id", "sex", "age", "visit_times", "features"}
     records = []
     with open_text(path) as lines:
@@ -362,7 +349,7 @@ def _load_jsonl(path, catalog, task):
             missing = required - obj.keys()
             if missing:
                 raise ParseError(f"missing fields {sorted(missing)}")
-            problem = _record_json_error(obj, kinds)
+            problem = _record_json_error(obj, catalog)
             if problem:
                 raise ParseError(problem)
             pid = str(obj["patient_id"])

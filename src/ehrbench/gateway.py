@@ -47,6 +47,8 @@ RETRY_WAIT_CAP = 60.0
 # the longest endpoint.timeout, in seconds: a day, well inside what
 # socket.settimeout takes (1e12 s overflows the platform's time_t)
 MAX_TIMEOUT = 86400.0
+# the most requests in flight: each holds one OS thread and one connection
+MAX_IN_FLIGHT = 256
 # bytes of hash words the stub embedder holds at once, besides its result
 _STUB_BLOCK_BYTES = 1 << 18
 
@@ -72,11 +74,13 @@ class EndpointConfig:
             if not math.isfinite(value):
                 raise InvariantViolation(
                     f"endpoint.{key} must be finite, got {value}")
-        for key, least in (("max_in_flight", 1), ("max_new_tokens", 1),
-                           ("temperature", 0), ("max_retries", 0),
-                           ("backoff_base", 0)):
+        for key, least in (("max_new_tokens", 1), ("temperature", 0),
+                           ("max_retries", 0), ("backoff_base", 0)):
             if not getattr(self, key) >= least:
                 raise InvariantViolation(f"endpoint.{key} must be >= {least}")
+        if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT:
+            raise InvariantViolation(
+                f"endpoint.max_in_flight must be in [1, {MAX_IN_FLIGHT}]")
         if not 0 < self.timeout <= MAX_TIMEOUT:
             raise InvariantViolation(
                 f"endpoint.timeout must be in (0, {MAX_TIMEOUT:g}]")

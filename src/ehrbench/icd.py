@@ -165,6 +165,21 @@ def _rounding_tol(sq, other_sq, d):
 _SEED_BLOCK = 128
 
 
+def _row_sums_of_squares(points, centroids=None, labels=None):
+    """``(points ** 2).sum(axis=1)``, or with ``centroids`` ``((points -
+    centroids[labels]) ** 2).sum(axis=1)``, bit for bit, ``_SEED_BLOCK``
+    rows at a time: a row's sum does not depend on the other rows, so no
+    n x d temporary is made."""
+    out = np.empty(len(points))
+    for start in range(0, len(points), _SEED_BLOCK):
+        rows = slice(start, start + _SEED_BLOCK)
+        block = points[rows]
+        if centroids is not None:
+            block = block - centroids[labels[rows]]
+        out[rows] = (block ** 2).sum(axis=1)
+    return out
+
+
 def _seed_round(points, sq, tol, dist2, rows, centres):
     """Lower D^2, each K's squared distance to its nearest centre, for one
     new centre per K. Row ``r = rows[i]`` of ``dist2`` (Ks x n) becomes
@@ -302,7 +317,7 @@ def _lloyd(points, sq, centroids):
                 new_centroids[c] = mean
         far = []
         if empty:
-            own = ((points - centroids[labels]) ** 2).sum(axis=1)
+            own = _row_sums_of_squares(points, centroids, labels)
             far = np.argsort(-own, kind="stable")[:len(empty)]
             far = far[own[far] > 0]
             new_centroids[empty[:len(far)]] = points[far]
@@ -324,7 +339,7 @@ def _kmeans_runs(embeddings, ks, seeds):
     for k in ks:
         if k < 1 or n < k:
             raise InvariantViolation(f"{n} items for k={k}")
-    sq = (points ** 2).sum(axis=1)
+    sq = _row_sums_of_squares(points)
     starts = _kmeans_pp_init(points, sq, ks,
                              [np.random.default_rng(s) for s in seeds])
     for chosen in starts:

@@ -219,7 +219,7 @@ def _record_body(record, catalog, config, layout):
     rows = [
         (entry.display_name,
          [format_value(v, entry) for v in features[entry.feature_id]])
-        for entry in catalog if entry.feature_id in features
+        for entry in catalog.values() if entry.feature_id in features
     ]
     sep = " " if record.dated else "\n"
     preamble = _preamble(record.sex, record.age, record.visit_times, sep)
@@ -241,7 +241,7 @@ def render_context(catalog, include_units, include_ranges):
     if not (include_units or include_ranges):
         return ""
     lines = []
-    for entry in catalog:
+    for entry in catalog.values():
         segments = []
         if include_units and entry.unit is not None:
             segments.append(f"Unit: {entry.unit}.")
@@ -275,7 +275,7 @@ def synthesize_icl_examples(spec, k, catalog):
             times = tuple((start + timedelta(days=2 * j)).isoformat()
                           for j in times)
         rows = []
-        for entry in catalog:
+        for entry in catalog.values():
             if entry.feature_id in stats:
                 mean, var = stats[entry.feature_id]
                 draws = rng.normal(mean, np.sqrt(var), size=spec.n_visits)

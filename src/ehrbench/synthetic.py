@@ -11,7 +11,6 @@ import numpy as np
 from .ehr import (
     CATALOG_HEADER,
     Cohort,
-    FeatureCatalog,
     FeatureCatalogEntry,
     PatientRecord,
 )
@@ -35,13 +34,13 @@ MISSING_FRAC = 0.1  # chance that one cell is missing
 
 
 def synthetic_catalog():
-    return FeatureCatalog(
-        FeatureCatalogEntry(
+    return {
+        fid: FeatureCatalogEntry(
             feature_id=fid, display_name=name, unit=unit,
             reference_range=rng, kind="numeric",
         )
         for fid, name, unit, rng in FEATURES
-    )
+    }
 
 
 def synthetic_cohort(n_patients=40, seed=0):
@@ -86,7 +85,7 @@ def write_catalog_csv(catalog, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CATALOG_HEADER)
-        for e in catalog:
+        for e in catalog.values():
             writer.writerow([e.feature_id, e.display_name, e.unit or "",
                              e.reference_range or "", e.kind])
 

@@ -90,12 +90,12 @@ def vitals_record(vitals_cohort):
 
 def random_record(rng, n_features=None, n_visits=None, categorical_frac=0.2,
                   missing_frac=0.15, pid="r0"):
-    """A random multi-visit record plus a matching catalog entry list."""
-    from ehrbench.ehr import FeatureCatalog, FeatureCatalogEntry
+    """A random multi-visit record plus a matching catalog."""
+    from ehrbench.ehr import FeatureCatalogEntry
 
     n_features = n_features or int(rng.integers(1, 8))
     n_visits = n_visits or int(rng.integers(1, 7))
-    entries = []
+    catalog = {}
     features = {}
     for i in range(n_features):
         fid = f"g{i}"
@@ -109,9 +109,9 @@ def random_record(rng, n_features=None, n_visits=None, categorical_frac=0.2,
                       for _ in range(n_visits)]
         series = [None if rng.uniform() < missing_frac else v
                   for v in series]
-        entries.append(FeatureCatalogEntry(
+        catalog[fid] = FeatureCatalogEntry(
             feature_id=fid, display_name=f"Feature {i}", unit=None,
-            reference_range=None, kind=kind))
+            reference_range=None, kind=kind)
         features[fid] = series
     record = PatientRecord(
         patient_id=pid,
@@ -120,7 +120,7 @@ def random_record(rng, n_features=None, n_visits=None, categorical_frac=0.2,
         visit_times=tuple(range(n_visits)),
         features=features,
     )
-    return record, FeatureCatalog(entries)
+    return record, catalog
 
 
 def random_scored_samples(rng, n=None, score_pool=None, require_both=True):

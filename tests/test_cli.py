@@ -283,6 +283,9 @@ BAD_CONFIGS = [
     # finite, but socket.settimeout overflows the platform's time_t on it
     ("config endpoint: endpoint.timeout must be in (0, 86400]",
      lambda c: _closed_port(c, "endpoint", timeout=1e12)),
+    # each request in flight holds one OS thread; checked before any starts
+    ("config endpoint: endpoint.max_in_flight must be in [1, 256]",
+     lambda c: _closed_port(c, "endpoint", max_in_flight=257)),
 ]
 
 
@@ -524,11 +527,13 @@ def test_render_builds_no_record(tmp_path, monkeypatch):
 
 
 class TestPromptPreview:
-    def config_for_fixture(self, tmp_path, which, config_kwargs=None):
+    def config_for_fixture(self, tmp_path, which, config_kwargs=None,
+                           cohort=None):
         config = {
             "label": "preview",
             "data": {
-                "cohort": os.path.join(FIXTURES, f"{which}_cohort.jsonl"),
+                "cohort": cohort or os.path.join(FIXTURES,
+                                                 f"{which}_cohort.jsonl"),
                 "catalog": os.path.join(FIXTURES, f"{which}_catalog.csv"),
                 "task": "mortality",
             },
@@ -558,6 +563,38 @@ class TestPromptPreview:
         out = capsys.readouterr().out
         with open(os.path.join(FIXTURES, "golden", "vitals_base.txt")) as fh:
             assert out == fh.read() + "\n"
+
+    def preview_vitals_motor(self, tmp_path, series):
+        """prompt-preview's exit status on the vitals record with its
+        categorical ``gcs_motor`` series set to ``series``."""
+        with open(os.path.join(FIXTURES, "vitals_cohort.jsonl")) as fh:
+            record = json.loads(fh.read())
+        record["features"]["gcs_motor"] = series
+        cohort = tmp_path / "cohort.jsonl"
+        cohort.write_text(json.dumps(record) + "\n")
+        config_path = self.config_for_fixture(
+            tmp_path, "vitals", {"missing_policy": "reserve_nan"},
+            cohort=str(cohort))
+        return main(["prompt-preview", "--config", str(config_path),
+                     "--sample-id", "vitals-001"])
+
+    @pytest.mark.parametrize("cell", [{"a": 1}, ["x"], True],
+                             ids=["object", "list", "bool"])
+    def test_categorical_cell_of_another_type_exits_2(self, tmp_path, capsys,
+                                                      cell):
+        series = ["Flex-withdraws", cell, None, "Localizes Pain"]
+        assert self.preview_vitals_motor(tmp_path, series) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'cohort.jsonl'}, line 1: categorical "
+            "feature gcs_motor must hold strings, numbers or null\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_categorical_cells_may_be_strings_numbers_or_null(self, tmp_path,
+                                                              capsys):
+        series = ["Flex-withdraws", 3.5, None, 4]
+        assert self.preview_vitals_motor(tmp_path, series) == 0
+        assert ('- Glascow coma scale motor response: "Flex-withdraws, 3.5, '
+                'unknown, 4"') in capsys.readouterr().out
 
     def test_preview_is_the_sent_prompt_with_icl(self, tmp_path, capsys):
         config_path, _ = write_run_config(
@@ -745,7 +782,8 @@ class TestEvalSentences:
         assert main(["eval-sentences", "--pairs", str(pairs),
                      "--embeddings-file", str(emb),
                      "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("error: no texts")
+        assert capsys.readouterr().err == \
+            f"error: {pairs}: no sentence pairs\n"
 
     def test_embedding_file_keeps_float64_rows(self, tmp_path):
         emb = tmp_path / "emb.jsonl"
@@ -1222,9 +1260,16 @@ def test_bad_input_line_names_file_and_line(tmp_path, capsys, name):
 
 
 def test_empty_pairs_file_exits_2(tmp_path, capsys):
-    argv, _ = INPUT_KINDS["pairs"](tmp_path, "")
+    argv, path = INPUT_KINDS["pairs"](tmp_path, "")
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: no texts to embed\n"
+    assert capsys.readouterr().err == f"error: {path}: no sentence pairs\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_pairs_file_of_blank_lines_exits_2(tmp_path, capsys):
+    argv, path = INPUT_KINDS["pairs"](tmp_path, "\n\n\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: no sentence pairs\n"
     assert not (tmp_path / "out").exists()
 
 

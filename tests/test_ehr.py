@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from ehrbench import errors
 from ehrbench.ehr import (
     Cohort,
-    FeatureCatalog,
     PatientRecord,
     SplitSpec,
     load_catalog,
@@ -109,9 +109,11 @@ class TestCatalog:
             load_catalog(path)
 
     def test_preserves_file_order(self, lab_catalog):
-        ids = [e.feature_id for e in lab_catalog]
+        assert type(lab_catalog) is dict
+        ids = list(lab_catalog)
         assert ids[0] == "f01"
         assert ids[-1] == "f73"
+        assert [e.feature_id for e in lab_catalog.values()] == ids
 
 
 class TestCohortLoading:
@@ -364,17 +366,24 @@ class TestSplit:
         assert len(splits.val) == 0
         assert len(splits.train) + len(splits.test) == len(cohort)
 
-    def test_split_walks_no_catalog(self, fixtures_dir, monkeypatch):
+    def test_split_walks_no_catalog(self, fixtures_dir):
         """``load_cohort`` checks every feature against the catalog; the
         splits it is cut into are not checked again."""
         catalog = load_catalog(f"{fixtures_dir}/report_catalog.csv")
         cohort = load_cohort(f"{fixtures_dir}/report_cohort.jsonl", catalog,
                              "mortality")
         lookups = []
-        contains = FeatureCatalog.__contains__
-        monkeypatch.setattr(FeatureCatalog, "__contains__",
-                            lambda self, fid: lookups.append(fid)
-                            or contains(self, fid))
+
+        class Counting(dict):
+            def __contains__(self, fid):
+                lookups.append(fid)
+                return super().__contains__(fid)
+
+            def __getitem__(self, fid):
+                lookups.append(fid)
+                return super().__getitem__(fid)
+
+        cohort = dataclasses.replace(cohort, catalog=Counting(catalog))
         splits = split_cohort(cohort, SplitSpec(0.6, 0.1, 0.3, seed=0))
         assert len(splits.train) + len(splits.val) + len(splits.test) == 40
         assert lookups == []

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from ehrbench import errors, gateway
 from ehrbench.cli import RunPlan, main
 from ehrbench.gateway import (
+    MAX_IN_FLIGHT,
     EndpointConfig,
     MissingRateReport,
     PredictionOutcome,
@@ -274,6 +275,9 @@ def test_endpoint_defaults():
     assert cfg.max_new_tokens == 20
     with pytest.raises(errors.InvariantViolation):
         EndpointConfig(max_in_flight=0)
+    EndpointConfig(max_in_flight=MAX_IN_FLIGHT)  # the bound itself holds
+    with pytest.raises(errors.InvariantViolation):
+        EndpointConfig(max_in_flight=MAX_IN_FLIGHT + 1)
     with pytest.raises(errors.InvariantViolation):
         EndpointConfig(temperature=-1.0)
 

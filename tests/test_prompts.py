@@ -92,18 +92,16 @@ class TestSerialization:
 
     def test_single_value(self):
         rec = PatientRecord("p", "male", 40.0, (0,), {"f": [1.0]})
-        from ehrbench.ehr import FeatureCatalog, FeatureCatalogEntry
-        cat = FeatureCatalog([FeatureCatalogEntry("f", "f", None, None,
-                                                  "numeric")])
+        from ehrbench.ehr import FeatureCatalogEntry
+        cat = {"f": FeatureCatalogEntry("f", "f", None, None, "numeric")}
         text = serialize_feature_wise(rec, cat, PromptConfig())
         assert '- f: "1.00"' in text
 
     def test_locf_fills_the_rendering_not_the_record(self):
         rec = PatientRecord("p", "male", 40.0, (0, 1, 2),
                             {"f": (None, 5.0, None)})
-        from ehrbench.ehr import FeatureCatalog, FeatureCatalogEntry
-        cat = FeatureCatalog([FeatureCatalogEntry("f", "f", None, None,
-                                                  "numeric")])
+        from ehrbench.ehr import FeatureCatalogEntry
+        cat = {"f": FeatureCatalogEntry("f", "f", None, None, "numeric")}
         text = build_prompt(rec, cat, PromptConfig(missing_policy="locf")).text
         assert '- f: "nan, 5.00, 5.00"' in text
         assert NAN_SENTENCE in text  # the leading slot stays missing
@@ -164,11 +162,11 @@ class TestContext:
         assert render_context(vitals_catalog, False, False) == ""
 
     def test_absent_fields_omitted(self, tmp_path):
-        from ehrbench.ehr import FeatureCatalog, FeatureCatalogEntry
-        cat = FeatureCatalog([
-            FeatureCatalogEntry("a", "A", None, None, "numeric"),
-            FeatureCatalogEntry("b", "B", "mg", None, "numeric"),
-        ])
+        from ehrbench.ehr import FeatureCatalogEntry
+        cat = {
+            "a": FeatureCatalogEntry("a", "A", None, None, "numeric"),
+            "b": FeatureCatalogEntry("b", "B", "mg", None, "numeric"),
+        }
         text = render_context(cat, True, True)
         assert "- A:" not in text
         assert text == "- B: Unit: mg."
