@@ -317,6 +317,12 @@ def _report_row(report, path):
 def cmd_predict(args):
     plan = RunPlan(args.config)
     test = plan.splits.test.records
+    if not test:
+        raise InvariantViolation(
+            f"the test split of {len(plan.cohort.records)} records is empty "
+            f"(split.test_frac {plan.config.split.test_frac:g})")
+    out_dir = plan.raw["output_dir"]
+    os.makedirs(out_dir, exist_ok=True)  # fail before the first request
     t0 = time.monotonic()
     rendered = {rec.patient_id: plan.render(rec).text for rec in test}
     results = gateway.complete_batch(rendered, plan.config.endpoint,
@@ -339,7 +345,6 @@ def cmd_predict(args):
         count_unknown_as_missing=plan.config.decode.count_unknown_as_missing)
     metric_results = _score(outcomes, test, plan.config.bootstrap)
 
-    out_dir = plan.raw["output_dir"]
     report = {
         "label": plan.raw.get("label", ""),
         "fingerprint": config_fingerprint(plan.raw),
@@ -483,6 +488,7 @@ def cmd_eval_icd(args):
     entries = icd.filter_broad_codes(icd.parse_order_file(args.order_file))
     tree = icd.build_tree(entries)
     codes = [e.code for e in entries]
+    icd.check_ks(len(codes), args.ks)  # before any embedding is paid for
     embeddings = _embeddings(
         args, codes, [e.long_desc or e.short_desc for e in entries], "code",
         len(codes))

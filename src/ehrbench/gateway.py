@@ -49,8 +49,6 @@ RETRY_WAIT_CAP = 60.0
 MAX_TIMEOUT = 86400.0
 # the most requests in flight: each holds one OS thread and one connection
 MAX_IN_FLIGHT = 256
-# bytes of hash words the stub embedder holds at once, besides its result
-_STUB_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -374,18 +372,12 @@ def complete_batch(prompts, cfg, max_error_frac=1.0):
 def _stub_embed(texts, dim):
     n_blocks = -(-dim // 4)  # a sha256 block holds four 64-bit words
     counters = [counter.to_bytes(4, "big") for counter in range(n_blocks)]
-    row_bytes = 32 * n_blocks
-    step = max(1, _STUB_BLOCK_BYTES // row_bytes)  # rows per block
-    buf = bytearray(min(len(texts), step) * row_bytes)  # reused per block
     vectors = np.empty((len(texts), dim))
-    for start in range(0, len(texts), step):
-        rows = texts[start:start + step]
-        for i, text in enumerate(rows):
-            digest = hashlib.sha256(text.encode("utf-8")).digest()
-            buf[i * row_bytes:(i + 1) * row_bytes] = b"".join(
-                [hashlib.sha256(digest + c).digest() for c in counters])
-        words = np.frombuffer(buf, ">u8", count=len(rows) * 4 * n_blocks)
-        vectors[start:start + len(rows)] = words.reshape(len(rows), -1)[:, :dim]
+    for row, text in zip(vectors, texts):
+        digest = hashlib.sha256(text.encode("utf-8")).digest()
+        row[:] = np.frombuffer(b"".join(
+            [hashlib.sha256(digest + c).digest() for c in counters]),
+            ">u8", count=dim)
     # expand deterministically to dim floats in [-1, 1]; dividing by 2**63
     # is exact scaling, so each value is the correctly rounded word's
     vectors /= 2**63

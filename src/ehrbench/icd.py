@@ -161,22 +161,23 @@ def _rounding_tol(sq, other_sq, d):
     return 8 * (d + 3) * np.finfo(float).eps * radius ** 2
 
 
-# (K, point) or (point, centroid) pairs recomputed in the direct form at once
+# the pairs (or, without a second array, rows) ``_direct_sq`` sums at once
 _SEED_BLOCK = 128
 
 
-def _row_sums_of_squares(points, centroids=None, labels=None):
-    """``(points ** 2).sum(axis=1)``, or with ``centroids`` ``((points -
-    centroids[labels]) ** 2).sum(axis=1)``, bit for bit, ``_SEED_BLOCK``
-    rows at a time: a row's sum does not depend on the other rows, so no
-    n x d temporary is made."""
-    out = np.empty(len(points))
-    for start in range(0, len(points), _SEED_BLOCK):
-        rows = slice(start, start + _SEED_BLOCK)
-        block = points[rows]
-        if centroids is not None:
-            block = block - centroids[labels[rows]]
-        out[rows] = (block ** 2).sum(axis=1)
+def _direct_sq(a, ia, b=None, ib=None):
+    """``((a[ia] - b[ib]) ** 2).sum(axis=1)``, or without ``b`` ``(a[ia] **
+    2).sum(axis=1)``, bit for bit, ``_SEED_BLOCK`` pairs at a time: a
+    pair's sum does not depend on the other pairs, so no pairs x d
+    temporary is made."""
+    out = np.empty(len(ia))
+    for start in range(0, len(ia), _SEED_BLOCK):
+        pairs = slice(start, start + _SEED_BLOCK)
+        block = a[ia[pairs]]
+        if b is not None:
+            block -= b[ib[pairs]]
+        block *= block
+        out[pairs] = block.sum(axis=1)
     return out
 
 
@@ -189,19 +190,14 @@ def _seed_round(points, sq, tol, dist2, rows, centres):
     The expanded distances |x|^2 - 2 x.c + |c|^2 of every row come from one
     matrix product. Only the (K, point) pairs whose expanded distance minus
     ``tol`` (``_rounding_tol``) falls below their D^2 are recomputed in the
-    direct form, ``_SEED_BLOCK`` pairs at a time: every other pair's direct
-    distance is at least its D^2, so ``np.minimum`` would keep the D^2.
+    direct form (``_direct_sq``): every other pair's direct distance is at
+    least its D^2, so ``np.minimum`` would keep the D^2.
     """
     approx = sq - 2.0 * (points[centres] @ points.T) + sq[centres, None]
     near, cols = np.nonzero(approx - tol < dist2[rows])
-    for start in range(0, len(cols), _SEED_BLOCK):
-        i, j = near[start:start + _SEED_BLOCK], cols[start:start + _SEED_BLOCK]
-        r = rows[i]
-        # (points[j] - points[centres[i]]) ** 2 in place; points[j] is a copy
-        diff = points[j]
-        diff -= points[centres[i]]
-        diff *= diff
-        dist2[r, j] = np.minimum(dist2[r, j], diff.sum(axis=1))
+    r = rows[near]
+    dist2[r, cols] = np.minimum(
+        dist2[r, cols], _direct_sq(points, cols, points, centres[near]))
 
 
 def _kmeans_pp_init(points, sq, ks, rngs):
@@ -251,8 +247,8 @@ def _nearest_centroid(points, sq, centroids):
     from one matrix product. A row whose computed gap between its best two
     values exceeds twice the two forms' difference has the same unique
     argmin in both; rows whose gap is within ``_rounding_tol`` are
-    recomputed in the direct form, ``_SEED_BLOCK // k`` rows (at least one)
-    at a time: a row's direct distances do not depend on the other rows.
+    recomputed in the direct form, as (point, centroid) pairs of
+    ``_direct_sq``.
     """
     k = len(centroids)
     csq = (centroids ** 2).sum(axis=1)
@@ -262,15 +258,9 @@ def _nearest_centroid(points, sq, centroids):
         best2 = np.partition(dist2, 1, axis=1)
         tol = _rounding_tol(sq, csq.max(), points.shape[1])
         near = np.flatnonzero(best2[:, 1] - best2[:, 0] <= tol)
-        step = max(1, _SEED_BLOCK // k)
-        # one buffer, filled in place by every block: no allocation per block
-        diff = np.empty((min(step, len(near)), k, points.shape[1]))
-        for start in range(0, len(near), step):
-            rows = near[start:start + step]
-            block = diff[:len(rows)]
-            np.subtract(points[rows, None, :], centroids, out=block)
-            block *= block
-            labels[rows] = block.sum(axis=2).argmin(axis=1)
+        direct = _direct_sq(points, np.repeat(near, k), centroids,
+                            np.tile(np.arange(k), len(near)))
+        labels[near] = direct.reshape(len(near), k).argmin(axis=1)
     return labels
 
 
@@ -288,8 +278,11 @@ def _lloyd(points, sq, centroids):
     run, converged: did a shift fall below ``_TOL`` within ``_MAX_ITER``).
     After the member means, the e empty clusters, in index order, take the e
     points farthest from their assigned centroid, one each, by distance and
-    then index; a point at distance 0 is never taken, so a cluster that gets
-    none keeps its centroid and surplus clusters stay empty.
+    then index. A point is never taken if its distance is within
+    ``_rounding_tol`` (over the centroids it was assigned among) of 0, as
+    when a mean of identical points misses them by a rounding step; so a
+    cluster that gets none keeps its centroid and surplus clusters stay
+    empty.
 
     A centroid that is the mean of the members it still has is kept: the
     same members in the same order give the same sum, bit for bit, so its
@@ -297,7 +290,7 @@ def _lloyd(points, sq, centroids):
     lost a point are recomputed; in the first iteration, and after a
     reseed, whose centroid is no member mean, every cluster is.
     """
-    k = len(centroids)
+    k, every = len(centroids), np.arange(len(centroids))
     prev = None  # the labels every centroid is the member mean of, if any
     for iterations in range(1, _MAX_ITER + 1):
         labels = _nearest_centroid(points, sq, centroids)
@@ -317,12 +310,15 @@ def _lloyd(points, sq, centroids):
                 new_centroids[c] = mean
         far = []
         if empty:
-            own = _row_sums_of_squares(points, centroids, labels)
-            far = np.argsort(-own, kind="stable")[:len(empty)]
-            far = far[own[far] > 0]
+            own = _direct_sq(points, np.arange(len(points)), centroids, labels)
+            tol = _rounding_tol(sq, _direct_sq(centroids, every).max(),
+                                points.shape[1])
+            far = np.flatnonzero(own > tol)
+            far = far[np.argsort(-own[far], kind="stable")][:len(empty)]
             new_centroids[empty[:len(far)]] = points[far]
             labels[far] = empty[:len(far)]
-        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        shift = float(np.sqrt(_direct_sq(new_centroids, every, centroids,
+                                         every)).max())
         centroids = new_centroids
         prev = None if len(far) else labels
         if shift < _TOL:
@@ -330,16 +326,20 @@ def _lloyd(points, sq, centroids):
     return labels, centroids, iterations, shift < _TOL
 
 
+def check_ks(n, ks):
+    """Raise unless n items can be clustered into every K of ``ks``."""
+    for k in ks:
+        if k < 1 or n < k:
+            raise InvariantViolation(f"{n} items for k={k}")
+
+
 def _kmeans_runs(embeddings, ks, seeds):
     """Yield ``_lloyd``'s result for each K in ``ks`` in turn, K ``ks[i]``
     seeded from ``default_rng(seeds[i])``. Every K is seeded before the
     first yield; Lloyd runs for one K at a time."""
     points = np.asarray(embeddings, dtype=float)
-    n = len(points)
-    for k in ks:
-        if k < 1 or n < k:
-            raise InvariantViolation(f"{n} items for k={k}")
-    sq = _row_sums_of_squares(points)
+    check_ks(len(points), ks)
+    sq = _direct_sq(points, np.arange(len(points)))
     starts = _kmeans_pp_init(points, sq, ks,
                              [np.random.default_rng(s) for s in seeds])
     for chosen in starts:

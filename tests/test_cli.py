@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from types import SimpleNamespace
 
 import pytest
@@ -190,6 +192,69 @@ class TestPredict:
         assert len(rows) == 1
         assert rows[0]["label"] == "run"
         assert float(rows[0]["auroc_mean"]) == 0.5
+
+
+class _CountingHandler(BaseHTTPRequestHandler):
+    """An endpoint that counts the requests it is sent and fails each."""
+
+    posts = 0
+
+    def do_POST(self):
+        type(self).posts += 1
+        self.send_response(500)
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def counting_endpoint():
+    """A loopback endpoint's URL and a function that counts its requests."""
+    _CountingHandler.posts = 0
+    server = HTTPServer(("127.0.0.1", 0), _CountingHandler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
+    thread.start()
+    yield (f"http://127.0.0.1:{server.server_port}",
+           lambda: _CountingHandler.posts)
+    server.shutdown()
+    server.server_close()
+
+
+def test_output_dir_under_a_file_exits_2_before_any_request(
+        tmp_path, capsys, counting_endpoint):
+    url, posts = counting_endpoint
+    config_path, config = write_run_config(
+        tmp_path, endpoint_overrides={"base_url": url, "max_retries": 0})
+    (tmp_path / "afile").write_text("")
+    config["output_dir"] = str(tmp_path / "afile" / "out")
+    config_path.write_text(json.dumps(config))
+    assert main(["predict", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: [Errno 20] Not a directory: '{config['output_dir']}'\n"
+    assert posts() == 0
+
+
+# (split fractions, the test split's fraction as the error prints it)
+EMPTY_TEST_SPLITS = {
+    "test_frac_0": ((0.9, 0.1, 0.0), "0"),
+    # each class's largest remainder goes to val, so test gets no record
+    "largest_remainder": ((0.8, 0.18, 0.02), "0.02"),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_TEST_SPLITS)
+def test_empty_test_split_exits_2(tmp_path, capsys, name):
+    (train, val, test), shown = EMPTY_TEST_SPLITS[name]
+    config_path, config = write_run_config(tmp_path)
+    config["split"].update(train_frac=train, val_frac=val, test_frac=test)
+    config_path.write_text(json.dumps(config))
+    assert main(["predict", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the test split of 30 records is empty "
+        f"(split.test_frac {shown})\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_score_reports_auroc_error_beside_auprc():
@@ -984,6 +1049,16 @@ class TestEvalIcd:
         assert main(["eval-icd", "--order-file", self.ORDER, "--ks", "2",
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_k_above_the_code_count_exits_2_before_embedding(
+            self, tmp_path, capsys, counting_endpoint):
+        url, posts = counting_endpoint
+        assert main(["eval-icd", "--order-file", self.ORDER, "--ks", "2,400",
+                     "--base-url", url, "--model", "emb",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: 12 items for k=400\n"
+        assert posts() == 0
+        assert not (tmp_path / "out").exists()
 
 
 class TestReportMerge:

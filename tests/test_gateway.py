@@ -216,19 +216,9 @@ class TestStubs:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("dim", [1, 4, 5, 33])
-    @pytest.mark.parametrize("block_bytes", [1, 64, 100])
-    def test_stub_embed_in_small_row_blocks(self, monkeypatch, dim,
-                                            block_bytes):
-        """Blocks of one row, of several, and a short last block."""
-        texts = ["alpha", "", "Fièvre typhoïde, 伤寒", "alpha", "x" * 500]
-        want = _stub_embed(texts, dim)
-        monkeypatch.setattr(gateway, "_STUB_BLOCK_BYTES", block_bytes)
-        assert _stub_embed(texts, dim).tobytes() == want.tobytes()
-
     def test_stub_embed_holds_one_block_of_words(self):
-        """The hash words are converted into the result a block of rows at
-        a time: the peak is the 62.5 MiB result plus one block, not the
+        """The hash words are converted into the result one row at a time:
+        the peak is the 62.5 MiB result plus one row's words, not the
         result plus every row's words."""
         texts = [f"code {i}" for i in range(2000)]
         tracemalloc.start()

@@ -254,8 +254,9 @@ def direct_lloyd(points, centroids):
     recomputed every iteration -> labels, centroids, iterations run and the
     number of empty clusters reseeded. After the member means, the empty
     clusters in index order take the points farthest from their assigned
-    centroid, one each, by distance and then index; a point at distance 0
-    is never taken."""
+    centroid, one each, by distance and then index; a point whose distance
+    is within ``icd._rounding_tol`` (over the centroids the labels were
+    assigned among) of 0 is never taken."""
     n, k = len(points), len(centroids)
     reseeds = 0
     for iterations in range(1, _MAX_ITER + 1):
@@ -270,7 +271,10 @@ def direct_lloyd(points, centroids):
             else:
                 empty.append(c)
         own = dist2[np.arange(n), labels]
-        farthest = sorted((i for i in range(n) if own[i] > 0),
+        tol = icd._rounding_tol((points ** 2).sum(axis=1),
+                                (centroids ** 2).sum(axis=1).max(),
+                                points.shape[1])
+        farthest = sorted((i for i in range(n) if own[i] > tol[i]),
                           key=lambda i: (-own[i], i))
         for c, i in zip(empty, farthest):
             reseeds += 1
@@ -380,9 +384,10 @@ class TestKmeansEqualsDirectForm:
 
     def test_repeated_points_reseed_empty_clusters(self, rng):
         """Started away from the points, the clusters that no point is
-        nearest take the farthest points, several in one iteration. (The
-        means of identical points then miss them by a rounding step, so
-        these runs go on reseeding to the iteration cap, in both forms.)"""
+        nearest take the farthest points, several in one iteration. The
+        means of identical points then miss them by a rounding step, which
+        lies within ``_rounding_tol`` and takes no point, so the runs
+        converge."""
         reseeds = 0
         for i in range(20):
             distinct = rng.normal(size=(int(rng.integers(2, 5)), 3))
@@ -390,6 +395,9 @@ class TestKmeansEqualsDirectForm:
             start = rng.normal(size=(len(distinct) + int(rng.integers(1, 4)),
                                      3))
             reseeds += assert_lloyd_matches_direct(points, start)
+            _, _, iterations, converged = icd._lloyd(
+                points, (points ** 2).sum(axis=1), start.copy())
+            assert iterations < 10 and converged
         assert reseeds > 0
 
     def test_more_clusters_than_distinct_points(self, rng):
@@ -406,14 +414,17 @@ class TestKmeansEqualsDirectForm:
     def test_surplus_clusters_far_from_origin(self, rng):
         """Far from the origin the mean of identical points can miss them by
         more than the shift tolerance, so they lie away from it in the next
-        iteration: the clusters left empty are looked at again and take
-        them, as in the direct form (which then reseeds to the iteration
-        cap)."""
+        iteration: the clusters left empty are looked at again, as in the
+        direct form, but that rounding step is within ``_rounding_tol`` and
+        takes no point, so the runs converge."""
         for i in range(10):
             distinct = 1e11 * rng.normal(size=(int(rng.integers(2, 5)), 3))
             points = distinct[rng.integers(0, len(distinct), size=30)]
             k = len(distinct) + int(rng.integers(1, 4))
             assert_matches_direct(points, k, [i, k])
+            _, _, iterations, converged = next(
+                icd._kmeans_runs(points, [k], [[i, k]]))
+            assert iterations < 10 and converged
 
     def test_single_cluster(self, rng):
         for i in range(5):
