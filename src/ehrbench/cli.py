@@ -450,7 +450,9 @@ def _embeddings(args, keys, texts, key, n_summed):
     # 4dm^2; so a sum of n_summed of them, the rows of the D^2 total or the
     # pairs of a correlation, is at most 4 n_summed (dm)^2. pearson
     # multiplies that sum by the gold scores' own, so it is held below
-    # sqrt(float max), which leaves the gold side the same room.
+    # sqrt(float max), which leaves the gold side the same room. pearson
+    # sums with math.fsum, which raises OverflowError on a sum that a dot
+    # product would round to inf, so the bound also keeps that traceback away.
     limit = np.finfo(float).max ** 0.25 / (2 * vectors.shape[1]
                                            * math.sqrt(n_summed))
     largest = max(vectors.max(), -vectors.min())

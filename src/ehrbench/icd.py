@@ -248,7 +248,7 @@ def _nearest_centroid(points, sq, centroids):
     values exceeds twice the two forms' difference has the same unique
     argmin in both; rows whose gap is within ``_rounding_tol`` are
     recomputed in the direct form, as (point, centroid) pairs of
-    ``_direct_sq``.
+    ``_direct_sq``, about ``_SEED_BLOCK`` pairs at a time.
     """
     k = len(centroids)
     csq = (centroids ** 2).sum(axis=1)
@@ -258,9 +258,12 @@ def _nearest_centroid(points, sq, centroids):
         best2 = np.partition(dist2, 1, axis=1)
         tol = _rounding_tol(sq, csq.max(), points.shape[1])
         near = np.flatnonzero(best2[:, 1] - best2[:, 0] <= tol)
-        direct = _direct_sq(points, np.repeat(near, k), centroids,
-                            np.tile(np.arange(k), len(near)))
-        labels[near] = direct.reshape(len(near), k).argmin(axis=1)
+        step = max(1, _SEED_BLOCK // k)  # rows of k pairs each
+        for start in range(0, len(near), step):
+            rows = near[start:start + step]
+            direct = _direct_sq(points, np.repeat(rows, k), centroids,
+                                np.tile(np.arange(k), len(rows)))
+            labels[rows] = direct.reshape(len(rows), k).argmin(axis=1)
     return labels
 
 

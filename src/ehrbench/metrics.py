@@ -239,10 +239,11 @@ def pearson(xs, ys):
     xs, ys = _check_paired(xs, ys)
     dx = xs - xs.mean()
     dy = ys - ys.mean()
-    denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
+    denom = math.sqrt(math.fsum(dx * dx) * math.fsum(dy * dy))
     if denom == 0.0:
         raise InvariantViolation("pearson undefined for constant input")
-    return float(dx @ dy) / denom
+    # exact sums can still put r a rounding step past -1 or 1 on linear data
+    return float(np.clip(math.fsum(dx * dy) / denom, -1.0, 1.0))
 
 
 def spearman(xs, ys):
@@ -295,30 +296,24 @@ def _merge_sort_swaps(seq):
     return swaps
 
 
-def _row_dots(a, b):
-    """``a[i] @ b[i]`` for each row i of two (n, d) arrays: a stack of
-    vector products, each the one-pair dot."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def similarities(a, b, measure):
     """Cosine similarity or L1/L2 distance between each row of ``a`` and the
     same row of ``b``, two (n, d) arrays; row i gets the arithmetic of one
-    pair, a norm being the square root of the row's own dot."""
+    pair, every sum a row sum of elementwise products (no BLAS call)."""
     if a.shape != b.shape:
         raise InvariantViolation("vector dimensions differ")
     if measure == "cosine":
-        na, nb = np.sqrt(_row_dots(a, a)), np.sqrt(_row_dots(b, b))
+        na, nb = np.sqrt((a * a).sum(axis=1)), np.sqrt((b * b).sum(axis=1))
         zero = np.flatnonzero((na == 0.0) | (nb == 0.0))
         if zero.size:
             raise InvariantViolation(f"pair {zero[0] + 1}: cosine undefined "
                                      "for a zero vector")
-        return _row_dots(a, b) / (na * nb)
+        return (a * b).sum(axis=1) / (na * nb)
     if measure == "l1":
         return np.abs(a - b).sum(axis=1)
     if measure == "l2":
         diff = a - b
-        return np.sqrt(_row_dots(diff, diff))
+        return np.sqrt((diff * diff).sum(axis=1))
     raise InvariantViolation(f"unknown measure {measure!r}")
 
 

@@ -744,6 +744,13 @@ class TestEvalSentences:
         path.write_text("".join(f"{a}\t{b}\t{g}\n" for a, b, g in rows))
         return path
 
+    def write_embeddings(self, tmp_path, table):
+        path = tmp_path / "emb.jsonl"
+        path.write_text("".join(
+            json.dumps({"text": t, "embedding": v}) + "\n"
+            for t, v in table.items()))
+        return path
+
     def test_embeddings_file_grid(self, tmp_path):
         import math
         rows, table = [], {}
@@ -754,10 +761,7 @@ class TestEvalSentences:
             table[s2] = [math.cos(angle), math.sin(angle)]
             rows.append((s1, s2, gold))
         pairs = self.write_pairs(tmp_path, rows)
-        emb = tmp_path / "emb.jsonl"
-        emb.write_text("".join(
-            json.dumps({"text": t, "embedding": v}) + "\n"
-            for t, v in table.items()))
+        emb = self.write_embeddings(tmp_path, table)
         assert main(["eval-sentences", "--pairs", str(pairs),
                      "--embeddings-file", str(emb),
                      "--output-dir", str(tmp_path / "out")]) == 0
@@ -825,6 +829,51 @@ class TestEvalSentences:
         assert err.startswith("error: embeddings from ")
         assert err.count("\n") == 1 and str(emb) in err
         assert not (tmp_path / "out").exists()
+
+    def test_two_pairs_whose_pearson_rounds_past_minus_1(self, tmp_path):
+        """Two pairs correlate at exactly -1 or 1; the l2 column's
+        unclipped r was -1.0000000000000002, which exited 2."""
+        pairs = self.write_pairs(tmp_path, [("s1", "s2", 2.5),
+                                            ("s3", "s4", 0.5)])
+        emb = self.write_embeddings(tmp_path, {
+            "s1": [0.8612666847869941, 0.7323608373256045,
+                   0.601823447758565, 0.2876156021959957],
+            "s2": [0.5400112050964692, 0.7738942975498113,
+                   0.5292228076303601, 0.6115797303718215],
+            "s3": [0.7827604679261685, 0.2512675781710818,
+                   0.07521111181440443, 0.9628645784432278],
+            "s4": [0.03389225051650624, 0.18679367935380853,
+                   0.6746893954347775, 0.5705645979524983]})
+        assert main(["eval-sentences", "--pairs", str(pairs),
+                     "--embeddings-file", str(emb),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        grid = strict_json(tmp_path / "out" / "report.json")["grid"]
+        for row in grid.values():
+            assert all(math.isfinite(v) for v in row.values())
+            assert abs(row["pearson"]) == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_embeddings_just_inside_the_bound(self, tmp_path):
+        """Six pairs of 3-wide rows at 0.999 times cli._embeddings' bound,
+        rows of opposite signs among them: every sum of squares stays
+        finite, so the grid is finite and no exact sum overflows."""
+        n, d = 6, 3
+        value = 0.999 * sys.float_info.max ** 0.25 / (2 * d * math.sqrt(n))
+        signs = [(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (-1, -1, -1),
+                 (1, -1, -1), (-1, 1, -1)]
+        table = {}
+        for i, sign in enumerate(signs):
+            table[f"a{i}"] = [value] * d
+            table[f"b{i}"] = [value * s for s in sign]
+        pairs = self.write_pairs(tmp_path, [(f"a{i}", f"b{i}", float(i) / 2)
+                                            for i in range(n)])
+        emb = self.write_embeddings(tmp_path, table)
+        assert main(["eval-sentences", "--pairs", str(pairs),
+                     "--embeddings-file", str(emb),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        grid = strict_json(tmp_path / "out" / "report.json")["grid"]
+        for row in grid.values():
+            assert all(math.isfinite(v) for v in row.values())
 
     def test_zero_vector_names_its_pair(self, tmp_path, capsys):
         pairs = self.write_pairs(tmp_path, [("a", "b", 1.0), ("c", "d", 2.0)])

@@ -475,10 +475,11 @@ def test_near_tie_rows_are_recomputed_in_blocks():
 
 
 def test_row_sums_of_squares_are_computed_in_blocks():
-    """|x|^2 and the distances that reseed empty clusters are summed a block
-    of rows at a time, not from n x d temporaries (41 MB each here): 20,000
-    points drawn from 20 distinct vectors with K = 30 leave empty
-    clusters."""
+    """|x|^2, the near-tie rows' distances to every centroid and the
+    distances that reseed empty clusters are summed a block of rows at a
+    time, not from n x d temporaries (41 MB each here) or index arrays of
+    tied rows x K: 20,000 points drawn from 20 distinct vectors with K = 30
+    leave empty clusters, and about 8,000 rows tie in one iteration."""
     rng = np.random.default_rng(0)
     points = rng.normal(size=(20, 256))[rng.integers(0, 20, size=20_000)]
     tracemalloc.start()
@@ -488,7 +489,7 @@ def test_row_sums_of_squares_are_computed_in_blocks():
     finally:
         tracemalloc.stop()
     assert len(set(assignment.labels)) == 20
-    assert peak < 20e6
+    assert peak < 12e6
 
 
 def test_surplus_clusters_end_the_run():

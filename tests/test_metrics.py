@@ -339,6 +339,18 @@ class TestCorrelations:
         assert spearman(xs, [10.0, 20.0, 30.0, 40.0]) == pytest.approx(1.0)
         assert kendall(xs, xs) == pytest.approx(1.0)
 
+    def test_pearson_of_linear_data_stays_in_bounds(self, rng):
+        """Rounding puts an unclipped r past +-1 on about a quarter of these
+        draws, which pearson_distance then rejects."""
+        for _ in range(2000):
+            x = rng.normal(size=int(rng.integers(2, 50)))
+            y = rng.normal() * x + rng.normal()
+            if len(set(y.tolist())) > 1:
+                assert abs(pearson(x, y)) <= 1.0
+
+    def test_pearson_clip_keeps_nan(self):
+        assert math.isnan(pearson([0.0, 1.0, math.nan], [0.0, 1.0, 2.0]))
+
     def test_constant_input_rejected(self):
         # spearman is pearson on the ranks
         for fn, name in ((pearson, "pearson"), (spearman, "pearson"),
@@ -377,19 +389,20 @@ class TestCorrelations:
 
 
 def similarity_reference(vec_a, vec_b, measure):
-    """One pair's value, as eval-sentences computed it pair by pair."""
+    """One pair's value, as eval-sentences computed it pair by pair; every
+    sum is numpy's sum of elementwise products, never a BLAS dot."""
     a = np.asarray(vec_a, dtype=float)
     b = np.asarray(vec_b, dtype=float)
     if measure == "cosine":
-        na = float(np.linalg.norm(a))
-        nb = float(np.linalg.norm(b))
+        na = math.sqrt(float((a * a).sum()))
+        nb = math.sqrt(float((b * b).sum()))
         if na == 0.0 or nb == 0.0:
             raise errors.InvariantViolation(
                 "cosine undefined for a zero vector")
-        return float(a @ b) / (na * nb)
+        return float((a * b).sum()) / (na * nb)
     if measure == "l1":
         return float(np.abs(a - b).sum())
-    return float(np.linalg.norm(a - b))
+    return math.sqrt(float(((a - b) * (a - b)).sum()))
 
 
 def similarity(vec_a, vec_b, measure):
