@@ -212,8 +212,9 @@ class RunPlan:
         from . import prompts
 
         if dated not in self._icl_examples:
+            train, _, _ = self.splits
             spec = prompts.icl_spec_from_cohort(
-                self.splits.train, seed=self.config.split.seed, dated=dated)
+                train, seed=self.config.split.seed, dated=dated)
             self._icl_examples[dated] = prompts.synthesize_icl_examples(
                 spec, self.config.prompt.n_icl_examples, self.catalog)
         return self._icl_examples[dated]
@@ -316,7 +317,8 @@ def _report_row(report, path):
 
 def cmd_predict(args):
     plan = RunPlan(args.config)
-    test = plan.splits.test.records
+    _, _, test_split = plan.splits
+    test = test_split.records
     if not test:
         raise InvariantViolation(
             f"the test split of {len(plan.cohort.records)} records is empty "

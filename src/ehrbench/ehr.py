@@ -133,9 +133,6 @@ class Cohort:
     records: tuple
     catalog: dict
 
-    def __len__(self):
-        return len(self.records)
-
     def get(self, patient_id):
         for rec in self.records:
             if rec.patient_id == patient_id:
@@ -158,13 +155,6 @@ class SplitSpec:
             raise InvariantViolation(f"fractions {fracs} do not sum to 1")
         if self.seed < 0:
             raise InvariantViolation("split.seed must be >= 0")
-
-
-@dataclass(frozen=True)
-class CohortSplits:
-    train: Cohort
-    val: Cohort
-    test: Cohort
 
 
 CATALOG_HEADER = ["feature_id", "display_name", "unit", "reference_range", "kind"]
@@ -410,7 +400,8 @@ def _allocate(count, fracs):
 
 
 def split_cohort(cohort, spec):
-    """Shuffled split stratified on the label, deterministic for a fixed seed."""
+    """The (train, val, test) ``Cohort``s of a shuffled split stratified on
+    the label, deterministic for a fixed seed."""
     fracs = (spec.train_frac, spec.val_frac, spec.test_frac)
     n_nonzero = sum(1 for f in fracs if f > 0)
     by_class = {}
@@ -436,12 +427,11 @@ def split_cohort(cohort, spec):
         for part, c in zip(parts, counts):
             part.extend(shuffled[pos:pos + c])
             pos += c
-    cohorts = tuple(
+    return tuple(
         Cohort(
             records=tuple(cohort.records[i] for i in sorted(part)),
             catalog=cohort.catalog,
         )
         for part in parts
     )
-    return CohortSplits(train=cohorts[0], val=cohorts[1], test=cohorts[2])
 

@@ -6,8 +6,10 @@ There is one class per way the program reacts. A class is kept only if
 code catches it by name, if README's endpoint table names its failure
 kind, or if it is one of the two kinds that every loader and validator
 raises: ``ParseError`` (a file's text) and ``InvariantViolation`` (a value
-that breaks a rule). No output names a class: the CLI prints
-``error: <message>``, and a transcript or report holds the message alone.
+that breaks a rule). ``UndefinedMetric`` is the bootstrap's redraw
+signal: a resample on which AUROC or AUPRC is undefined. No output names
+a class: the CLI prints ``error: <message>``, and a transcript or report
+holds the message alone.
 """
 
 import contextlib
@@ -44,12 +46,9 @@ class RateLimited(GatewayError):
     """A 429: the table's retried rate-limit row."""
 
 
-class SingleClass(EhrBenchError):
-    """Only one label class is present: the bootstrap redraws on it."""
-
-
-class NoPositives(EhrBenchError):
-    """No positive label is present: the bootstrap redraws on it."""
+class UndefinedMetric(EhrBenchError):
+    """AUROC without both label classes or AUPRC without a positive: the
+    bootstrap redraws a resample on it."""
 
 
 class Lines:

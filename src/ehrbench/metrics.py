@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, NoPositives, SingleClass
+from .errors import InvariantViolation, UndefinedMetric
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,6 @@ class BootstrapResult:
     std: float
     n_resamples: int
     seed: int
-
-    def __post_init__(self):
-        if self.std < 0:
-            raise InvariantViolation("std must be >= 0")
 
 
 def _tie_groups(values):
@@ -132,9 +128,9 @@ def _value(name, bins, n_groups, idx):
     pos, neg = _count_rows(bins, n_groups, idx)
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if name == "auprc" and n_pos == 0:
-        raise NoPositives("no positive samples")
+        raise UndefinedMetric("no positive samples")
     if name == "auroc" and (n_pos == 0 or n_neg == 0):
-        raise SingleClass(f"{n_pos} positives, {n_neg} negatives")
+        raise UndefinedMetric(f"{n_pos} positives, {n_neg} negatives")
     return float(_ROW_METRICS[name](pos, neg)[0][0])
 
 
@@ -164,7 +160,7 @@ def _redraw(name, bins, n_groups, rng):
         try:
             return _value(name, bins, n_groups,
                           rng.integers(0, m, size=m)[None])
-        except (SingleClass, NoPositives):
+        except UndefinedMetric:
             if attempt == _MAX_REDRAWS:
                 raise
 
@@ -180,7 +176,7 @@ def bootstrap_pass(samples, names, n=10, seed=0):
     the resampled list bit for bit. A metric undefined on a resample (a class
     vanished) redraws it from its own copy of that resample's generator, at
     most ``_MAX_REDRAWS`` times. Returns {name: ``BootstrapResult``, or the
-    ``SingleClass``/``NoPositives`` of the resample whose redraws ran out}.
+    ``UndefinedMetric`` of the resample whose redraws ran out}.
     ``std`` is the population standard deviation of the resample values.
     """
     if not samples:
@@ -202,7 +198,7 @@ def bootstrap_pass(samples, names, n=10, seed=0):
                 for r in np.flatnonzero(~defined):
                     scores[r] = _redraw(name, bins, n_groups,
                                         copy.deepcopy(rngs[r]))
-            except (SingleClass, NoPositives) as exc:
+            except UndefinedMetric as exc:
                 failed[name] = exc
             values[name][start:start + len(rngs)] = scores
     return {name: failed[name] if name in failed else BootstrapResult(
@@ -215,8 +211,7 @@ def bootstrap(metric, samples, n=10, seed=0):
     """Resample-with-replacement uncertainty for ``auroc`` or ``auprc``.
 
     ``bootstrap_pass`` for the one metric: the same resamples and values.
-    Raises the ``SingleClass``/``NoPositives`` of a resample whose redraws
-    ran out.
+    Raises the ``UndefinedMetric`` of a resample whose redraws ran out.
     """
     result = bootstrap_pass(samples, (metric.__name__,), n=n, seed=seed)
     result = result[metric.__name__]

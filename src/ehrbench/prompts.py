@@ -131,14 +131,6 @@ class PromptConfig:
 @dataclass(frozen=True)
 class RenderedPrompt:
     text: str
-    config: PromptConfig
-
-    def __post_init__(self):
-        if not self.text:
-            raise InvariantViolation("empty prompt text")
-        indicator = output_indicator(self.config.task)
-        if self.text.count(indicator) != 1:
-            raise InvariantViolation("output indicator must appear exactly once")
 
 
 @dataclass(frozen=True)
@@ -155,14 +147,6 @@ class IclExampleSpec:
     n_visits: int = 4
     dated: bool = False
     start_date: str = "2020-02-01"
-
-    def __post_init__(self):
-        for group, stats in self.group_stats.items():
-            for fid, (mean, var) in stats.items():
-                if var < 0:
-                    raise InvariantViolation(
-                        f"group {group} feature {fid}: negative variance {var}"
-                    )
 
 
 def format_value(value, entry):
@@ -361,8 +345,12 @@ def build_prompt(record, catalog, config, icl_spec=None, icl_examples=None):
         # the header sits directly above the first example
         sections.append(ICL_HEADER + "\n" + "\n\n".join(blocks))
     sections.append("Input information of a patient:\n" + body)
-    sections.append(output_indicator(config.task))
-    return RenderedPrompt(text="\n\n".join(sections), config=config)
+    indicator = output_indicator(config.task)
+    sections.append(indicator)
+    text = "\n\n".join(sections)
+    if text.count(indicator) != 1:  # a catalog or record string holds it
+        raise InvariantViolation("output indicator must appear exactly once")
+    return RenderedPrompt(text=text)
 
 
 def value_tokens(serialized_text):

@@ -236,6 +236,37 @@ def test_output_dir_under_a_file_exits_2_before_any_request(
     assert posts() == 0
 
 
+@pytest.mark.parametrize("where", ["cohort_value", "catalog_unit"])
+def test_doubled_output_indicator_exits_2_before_any_request(
+        tmp_path, capsys, counting_endpoint, where):
+    """A categorical value or a printed catalog unit that holds the output
+    indicator stops predict and prompt-preview with one error line."""
+    url, posts = counting_endpoint
+    indicator = prompts.output_indicator("mortality")
+    config_path, _ = write_run_config(
+        tmp_path, prompt_overrides={"include_units": where == "catalog_unit"},
+        endpoint_overrides={"base_url": url, "max_retries": 0})
+    catalog, cohort = tmp_path / "catalog.csv", tmp_path / "cohort.jsonl"
+    with open(catalog, newline="") as fh:
+        rows = list(csv.reader(fh))
+    records = [json.loads(line) for line in cohort.read_text().splitlines()]
+    if where == "cohort_value":
+        rows[1][4] = "categorical"
+        for rec in records:
+            rec["features"][rows[1][0]][0] = indicator
+    else:
+        rows[1][2] = indicator
+    with open(catalog, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    cohort.write_text("".join(json.dumps(r) + "\n" for r in records))
+    for argv in (["predict"], ["prompt-preview", "--sample-id", "p000"]):
+        assert main([*argv, "--config", str(config_path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: output indicator must appear exactly once\n")
+    assert posts() == 0
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 # (split fractions, the test split's fraction as the error prints it)
 EMPTY_TEST_SPLITS = {
     "test_frac_0": ((0.9, 0.1, 0.0), "0"),
@@ -581,7 +612,8 @@ def test_render_builds_no_record(tmp_path, monkeypatch):
         tmp_path, prompt_overrides={"missing_policy": "locf",
                                     "n_icl_examples": 2})
     plan = RunPlan(str(config_path))
-    test = plan.splits.test.records
+    _, _, test_split = plan.splits
+    test = test_split.records
     built = []
     check = PatientRecord.__post_init__
     monkeypatch.setattr(PatientRecord, "__post_init__",
@@ -1453,14 +1485,21 @@ def test_offline_commands_skip_requests_import(tmp_path, argv):
     assert out.splitlines()[-1] == "[]"
 
 
+# a stub or file run sends no request, so it loads no HTTP stack either
+_HTTP_STACK = {"http.client", "ssl", "email.parser"}
+
+
 @pytest.mark.parametrize("command, absent", [
-    ("eval-icd", {"ehrbench.ehr", "ehrbench.prompts", "ehrbench.metrics"}),
-    ("eval-sentences", {"ehrbench.ehr", "ehrbench.prompts", "ehrbench.icd"}),
-    ("predict", {"ehrbench.icd"}),
+    ("eval-icd", {"ehrbench.ehr", "ehrbench.prompts", "ehrbench.metrics",
+                  *_HTTP_STACK}),
+    ("eval-sentences", {"ehrbench.ehr", "ehrbench.prompts", "ehrbench.icd",
+                        *_HTTP_STACK}),
+    ("predict", {"ehrbench.icd", *_HTTP_STACK}),
 ])
 def test_commands_import_only_their_modules(tmp_path, command, absent):
     """A command imports the submodules it runs and no other, so a fresh
-    process compiles no more of the package than it needs."""
+    process compiles no more of the package than it needs. Every row runs
+    offline (predict on the ``echo-0.5`` stub)."""
     import ehrbench
 
     out = str(tmp_path / "out")

@@ -340,31 +340,30 @@ class TestSplit:
     def test_partition_and_stratification(self):
         cohort = synthetic_cohort(n_patients=50, seed=3)
         spec = SplitSpec(0.7, 0.1, 0.2, seed=9)
-        splits = split_cohort(cohort, spec)
-        ids = [r.patient_id for part in (splits.train, splits.val,
-                                         splits.test)
+        train, val, test = split_cohort(cohort, spec)
+        ids = [r.patient_id for part in (train, val, test)
                for r in part.records]
         assert sorted(ids) == sorted(r.patient_id for r in cohort.records)
         assert len(set(ids)) == len(ids)
-        pos_frac = sum(r.label for r in cohort.records) / len(cohort)
-        for part, frac in ((splits.train, 0.7), (splits.val, 0.1),
-                           (splits.test, 0.2)):
+        pos_frac = sum(r.label for r in cohort.records) / len(cohort.records)
+        for part in (train, val, test):
             n_pos = sum(r.label for r in part.records)
-            assert abs(n_pos - pos_frac * len(part)) <= 1
+            assert abs(n_pos - pos_frac * len(part.records)) <= 1
 
     def test_deterministic(self):
         cohort = synthetic_cohort(n_patients=30, seed=3)
         spec = SplitSpec(0.6, 0.2, 0.2, seed=5)
-        a = split_cohort(cohort, spec)
-        b = split_cohort(cohort, spec)
-        assert [r.patient_id for r in a.test.records] == \
-            [r.patient_id for r in b.test.records]
+        _, _, a = split_cohort(cohort, spec)
+        _, _, b = split_cohort(cohort, spec)
+        assert [r.patient_id for r in a.records] == \
+            [r.patient_id for r in b.records]
 
     def test_zero_fraction_gives_empty_split(self):
         cohort = synthetic_cohort(n_patients=20, seed=3)
-        splits = split_cohort(cohort, SplitSpec(0.8, 0.0, 0.2, seed=1))
-        assert len(splits.val) == 0
-        assert len(splits.train) + len(splits.test) == len(cohort)
+        train, val, test = split_cohort(cohort,
+                                        SplitSpec(0.8, 0.0, 0.2, seed=1))
+        assert val.records == ()
+        assert len(train.records) + len(test.records) == len(cohort.records)
 
     def test_split_walks_no_catalog(self, fixtures_dir):
         """``load_cohort`` checks every feature against the catalog; the
@@ -385,7 +384,7 @@ class TestSplit:
 
         cohort = dataclasses.replace(cohort, catalog=Counting(catalog))
         splits = split_cohort(cohort, SplitSpec(0.6, 0.1, 0.3, seed=0))
-        assert len(splits.train) + len(splits.val) + len(splits.test) == 40
+        assert sum(len(part.records) for part in splits) == 40
         assert lookups == []
 
     def test_single_class_rejected(self, vitals_cohort):

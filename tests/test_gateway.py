@@ -915,8 +915,8 @@ def test_failed_request_is_written_under_its_sample_id(http_endpoint,
     assert main(["predict", "--config", str(config_path),
                  "--max-error-frac", "1"]) == 0
     plan = RunPlan(str(config_path))
-    prompts = {rec.patient_id: plan.render(rec).text
-               for rec in plan.splits.test.records}
+    _, _, test = plan.splits
+    prompts = {rec.patient_id: plan.render(rec).text for rec in test.records}
     with open(tmp_path / "out" / "transcript.jsonl") as fh:
         lines = [json.loads(line) for line in fh]
     assert [line["sample_id"] for line in lines] == sorted(prompts)

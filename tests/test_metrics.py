@@ -69,7 +69,7 @@ class TestAuroc:
         assert auroc(samples) == 0.5
 
     def test_single_class_rejected(self):
-        with pytest.raises(errors.SingleClass):
+        with pytest.raises(errors.UndefinedMetric):
             auroc([ScoredSample("a", 0.5, 1), ScoredSample("b", 0.6, 1)])
 
     def test_matches_oracle_with_ties(self, rng):
@@ -94,7 +94,7 @@ class TestAuprc:
         assert auprc(samples) == 1.0
 
     def test_no_positives_rejected(self):
-        with pytest.raises(errors.NoPositives):
+        with pytest.raises(errors.UndefinedMetric):
             auprc([ScoredSample("a", 0.5, 0)])
 
     def test_matches_oracle_with_ties(self, rng):
@@ -128,7 +128,7 @@ def _reference_bootstrap(metric, samples, n, seed):
             try:
                 values.append(metric([samples[j] for j in idx]))
                 break
-            except (errors.SingleClass, errors.NoPositives) as exc:
+            except errors.UndefinedMetric as exc:
                 error = (type(exc), str(exc))
             redraws += 1
         else:
@@ -182,7 +182,8 @@ class TestBootstrap:
         else:
             # the odd sample scores between the others, so every resample's
             # value depends on which of them it drew; resamples often lose
-            # it: auprc redraws on NoPositives, auroc on SingleClass
+            # it: auprc redraws when no positive is left, auroc when a class
+            # is gone
             samples = _odd_one_out(int(cohort == "one_positive"))
         mean, std, redraws = _reference_bootstrap(metric, samples, 25, 6)
         result = bootstrap(metric, samples, n=25, seed=6)
@@ -207,7 +208,7 @@ class TestBootstrap:
                 want = _reference_bootstrap(metric, samples, n, seed)
                 try:
                     result = bootstrap(metric, samples, n=n, seed=seed)
-                except (errors.SingleClass, errors.NoPositives) as exc:
+                except errors.UndefinedMetric as exc:
                     assert (type(exc), str(exc)) == want
                 else:
                     assert (result.mean, result.std) == want[:2]

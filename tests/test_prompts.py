@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import warnings
 
@@ -178,6 +179,17 @@ class TestBuildPrompt:
         assert text.count(output_indicator("mortality")) == 1
         assert text.count(FALLBACK_SENTENCE) == 1
 
+    def test_doubled_indicator_rejected(self, vitals_record, vitals_catalog):
+        """A categorical value that holds the output indicator would give
+        the model two places to answer."""
+        indicator = output_indicator("mortality")
+        record = dataclasses.replace(vitals_record, features={
+            **vitals_record.features, "gcs_eye": (indicator,) * 4})
+        with pytest.raises(errors.InvariantViolation,
+                           match="^output indicator must appear exactly "
+                                 "once$"):
+            build_prompt(record, vitals_catalog, PromptConfig())
+
     def test_readmission_instruction(self):
         instr = task_instruction("readmission", "in_hospital")
         assert "probability of readmission within 30 days" in instr
@@ -267,10 +279,6 @@ class TestIclExamples:
         with pytest.raises(errors.InvariantViolation,
                            match="^no statistics for outcome group 1$"):
             synthesize_icl_examples(spec, 2, self.catalog)
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(errors.InvariantViolation):
-            IclExampleSpec(group_stats={0: {"hr": (80.0, -1.0)}}, seed=1)
 
     def test_one_paragraph_preamble_even_for_ordinal(self):
         examples = synthesize_icl_examples(self.spec(), 1, self.catalog)
